@@ -1,6 +1,7 @@
-// Extends the Table-II overhead study to the parallel localization engine:
-// sweeps component count × worker-thread count and reports serial vs
-// parallel end-to-end localization latency (the paper's "analysis time"
+// Extends the Table-II overhead study to the localization fan-out: sweeps
+// component count × worker-thread count and reports the end-to-end
+// localization latency of the per-slave batch jobs run inline on the caller
+// (0 threads) vs on the master's worker pool (the paper's "analysis time"
 // budget, §III-G — FChain's headline claim is pinpointing within seconds of
 // the SLO violation).
 //
@@ -15,18 +16,18 @@
 //      send/recv/decode costs through the production wire protocol instead
 //      of a sleep-based WAN emulation. Each service adds a 25 ms
 //      analyze-side delay (the crash-drill hook) so the round-trip cost is
-//      measurable even on a single-core machine: batching turns N
-//      per-component requests into S per-slave requests, and the worker
-//      pool overlaps the S socket round-trips. The 32-component / 4-slave /
-//      4-thread cell must clear 2× or the bench exits nonzero; every
-//      socket verdict must also be bit-identical to the in-process serial
-//      reference (transport transparency).
+//      measurable even on a single-core machine. Every column sends the
+//      same S per-slave batch requests; the inline column pays the S socket
+//      round-trips one after another, the worker pool overlaps them. The
+//      32-component / 4-slave / 4-thread cell must clear 2× or the bench
+//      exits nonzero; every socket verdict must also be bit-identical to
+//      the in-process inline reference (transport transparency).
 //   3. Lossy-telemetry equivalence — replays the bench_robustness scenarios
 //      (10 % sample loss, rotating dead slave behind a FlakyEndpoint
-//      blackout) through both engines.
+//      blackout) inline and on a 4-thread pool.
 //
-// Every parallel cell in every part must return a PinpointResult
-// bit-identical to the serial reference; each table prints the identity
+// Every pooled cell in every part must return a PinpointResult
+// bit-identical to the inline reference; each table prints the identity
 // check per row.
 //
 // Usage: bench_table2_parallel_overhead [repetitions] [seed]
@@ -236,12 +237,12 @@ SweepOutcome sweepSynthetic(const char* title, std::size_t repetitions,
   constexpr std::size_t kSlaves = 4;
   std::printf("%s (%zu slaves)\n", title, kSlaves);
   std::printf("  %-12s %-10s %-12s %-12s %-10s %s\n", "components", "threads",
-              "serial_ms", "parallel_ms", "speedup", "identical");
+              "inline_ms", "parallel_ms", "speedup", "identical");
   SweepOutcome outcome;
   for (std::size_t components : {8u, 16u, 32u, 64u}) {
     SyntheticCluster cluster = buildCluster(components, kSlaves, seed);
-    const TimedRun serial = timeLocalize(cluster, /*threads=*/0,
-                                         /*slave_threads=*/0, repetitions);
+    const TimedRun inline_run = timeLocalize(cluster, /*threads=*/0,
+                                             /*slave_threads=*/0, repetitions);
     for (int threads : {1, 2, 4, 8}) {
       // Threads beyond the slave count flow into slave-side batch analysis
       // (each slave fans its own components out across the spare cores).
@@ -251,14 +252,14 @@ SweepOutcome sweepSynthetic(const char* title, std::size_t repetitions,
               : 0;
       const TimedRun parallel =
           timeLocalize(cluster, threads, slave_threads, repetitions);
-      const bool identical = samePinpoint(serial.result, parallel.result);
+      const bool identical = samePinpoint(inline_run.result, parallel.result);
       outcome.all_identical = outcome.all_identical && identical;
-      const double speedup = serial.best_ms / parallel.best_ms;
+      const double speedup = inline_run.best_ms / parallel.best_ms;
       if (components == 32 && threads == 4) {
         outcome.headline_speedup = speedup;
       }
       std::printf("  %-12zu %-10d %-12.2f %-12.2f %-10.2f %s\n", components,
-                  threads, serial.best_ms, parallel.best_ms, speedup,
+                  threads, inline_run.best_ms, parallel.best_ms, speedup,
                   identical ? "yes" : "NO");
     }
   }
@@ -268,15 +269,15 @@ SweepOutcome sweepSynthetic(const char* title, std::size_t repetitions,
 
 /// The real-socket column: the same sweep over SlaveService/SocketEndpoint
 /// unix-socket transports with a 25 ms server-side analyze delay standing
-/// in for per-host network+analysis latency. Besides serial-vs-parallel
-/// identity, every socket verdict is checked bit-identical against the
-/// in-process serial reference — the wire codec must be transparent.
+/// in for per-host network+analysis latency. Every socket verdict, inline
+/// or pooled, is checked bit-identical against the in-process inline
+/// reference — the wire codec must be transparent.
 SweepOutcome sweepSockets(const char* title, double analyze_delay_ms,
                           std::size_t repetitions, std::uint64_t seed) {
   constexpr std::size_t kSlaves = 4;
   std::printf("%s (%zu slaves)\n", title, kSlaves);
   std::printf("  %-12s %-10s %-12s %-12s %-10s %s\n", "components", "threads",
-              "serial_ms", "parallel_ms", "speedup", "identical");
+              "inline_ms", "parallel_ms", "speedup", "identical");
   SweepOutcome outcome;
   for (std::size_t components : {8u, 16u, 32u, 64u}) {
     SyntheticCluster cluster = buildCluster(components, kSlaves, seed);
@@ -284,10 +285,10 @@ SweepOutcome sweepSockets(const char* title, double analyze_delay_ms,
                                             /*slave_threads=*/0,
                                             /*repetitions=*/1);
     SocketCluster sockets(cluster, analyze_delay_ms);
-    const TimedRun serial =
+    const TimedRun inline_run =
         sockets.timeLocalize(/*threads=*/0, /*slave_threads=*/0, repetitions);
     outcome.all_identical = outcome.all_identical &&
-                            samePinpoint(reference.result, serial.result);
+                            samePinpoint(reference.result, inline_run.result);
     for (int threads : {1, 2, 4, 8}) {
       const int slave_threads =
           threads > static_cast<int>(kSlaves)
@@ -297,12 +298,12 @@ SweepOutcome sweepSockets(const char* title, double analyze_delay_ms,
           sockets.timeLocalize(threads, slave_threads, repetitions);
       const bool identical = samePinpoint(reference.result, parallel.result);
       outcome.all_identical = outcome.all_identical && identical;
-      const double speedup = serial.best_ms / parallel.best_ms;
+      const double speedup = inline_run.best_ms / parallel.best_ms;
       if (components == 32 && threads == 4) {
         outcome.headline_speedup = speedup;
       }
       std::printf("  %-12zu %-10d %-12.2f %-12.2f %-10.2f %s\n", components,
-                  threads, serial.best_ms, parallel.best_ms, speedup,
+                  threads, inline_run.best_ms, parallel.best_ms, speedup,
                   identical ? "yes" : "NO");
     }
   }
@@ -398,12 +399,13 @@ bool lossyEquivalence(std::uint64_t seed) {
   }
   bool all_identical = true;
   for (std::size_t trial = 0; trial < incidents.size(); ++trial) {
-    const auto serial = lossyVerdict(incidents[trial], trial, 0, seed);
-    const auto parallel = lossyVerdict(incidents[trial], trial, 4, seed);
-    const bool identical = samePinpoint(serial, parallel);
+    const auto inline_verdict = lossyVerdict(incidents[trial], trial, 0, seed);
+    const auto pooled = lossyVerdict(incidents[trial], trial, 4, seed);
+    const bool identical = samePinpoint(inline_verdict, pooled);
     all_identical = all_identical && identical;
-    std::printf("  trial %zu: coverage %.2f, %s\n", trial, serial.coverage,
-                identical ? "serial == parallel" : "MISMATCH");
+    std::printf("  trial %zu: coverage %.2f, %s\n", trial,
+                inline_verdict.coverage,
+                identical ? "inline == pool" : "MISMATCH");
   }
   std::printf("\n");
   return all_identical;
@@ -437,7 +439,7 @@ int main(int argc, char** argv) {
 
   bool failed = false;
   if (!compute.all_identical || !socket.all_identical || !lossy_ok) {
-    std::printf("FAILURE: parallel verdict diverged from serial\n");
+    std::printf("FAILURE: pooled verdict diverged from inline\n");
     failed = true;
   }
   if (socket.headline_speedup < 2.0) {
@@ -448,7 +450,7 @@ int main(int argc, char** argv) {
   }
   if (failed) return 1;
   std::printf(
-      "All parallel verdicts bit-identical to serial; socket headline "
+      "All pooled verdicts bit-identical to inline; socket headline "
       "speedup %.2fx.\n",
       socket.headline_speedup);
   return 0;

@@ -14,18 +14,16 @@
 // arrive — PinpointResult::coverage reports how much of the application was
 // actually analyzed instead of silently pretending full coverage.
 //
-// Localization runs either serially (worker threads = 0, the reference
-// path: one analyze request per component, walked in caller order) or as a
-// parallel fan-out (worker threads >= 1): components are grouped by their
-// slave, each slave gets ONE batched request covering all its components
-// (runtime::AnalyzeBatchRequest), and the per-slave batch jobs run
-// concurrently on a fixed-size runtime::WorkerPool. A per-endpoint mutex
-// serializes requests to any one endpoint (FlakyEndpoint's request counter
-// and health accounting stay exact), results merge deterministically in
-// caller component order, and the backoff schedule keeps its per-component
-// seeding — so for transports whose failures do not depend on the request
-// arrival index (outages, blackouts, healthy links) the PinpointResult is
-// bit-identical across serial and any thread count.
+// Localization groups the components by their slave and gives each slave
+// ONE batched request covering all its components
+// (runtime::AnalyzeBatchRequest). The per-slave batch jobs run on a
+// fixed-size runtime::WorkerPool when worker threads >= 1, or one after
+// another on the calling thread when it is 0; either way it is the same
+// job. A per-endpoint mutex serializes requests to any one endpoint
+// (FlakyEndpoint's request counter and health accounting stay exact),
+// results merge deterministically in caller component order, and backoff
+// is seeded from (violation_time, routing) — so the PinpointResult is
+// bit-identical at every thread count.
 #pragma once
 
 #include <chrono>
@@ -53,8 +51,7 @@ class WorkerPool;
 namespace fchain::core {
 
 /// Transport bookkeeping accumulated across localize() calls. A request is
-/// one transport round-trip: the serial path issues one per component
-/// attempt, the parallel path one per slave *batch* attempt.
+/// one transport round-trip: one per slave *batch* attempt.
 ///
 /// This struct is now a *view*: the authoritative values live in the
 /// master's obs::MetricRegistry (counters "master.requests" / ".retries" /
@@ -126,12 +123,12 @@ class FChainMaster {
     incident_journal_ = journal;
   }
 
-  /// Sizes the localization fan-out pool. 0 (the default) selects the
-  /// serial reference path; n >= 1 runs per-slave batch jobs on n pool
-  /// threads (1 thread still exercises the batched protocol). The pool is
-  /// created lazily on the next localize() and rebuilt on resize.
+  /// Sizes the localization fan-out pool. 0 (the default) runs the
+  /// per-slave batch jobs inline on the calling thread, in caller order;
+  /// n >= 1 runs them on n pool threads. Builds (or drops) the pool here, so
+  /// localize() only reads it; do not call concurrently with localize().
   void setWorkerThreads(int threads);
-  int workerThreads() const { return worker_threads_; }
+  int workerThreads() const;
 
   /// Health of every registered endpoint, in registration order.
   std::vector<runtime::HealthState> endpointHealth() const;
@@ -143,8 +140,6 @@ class FChainMaster {
 
   /// This master's metric registry. Registry metric names:
   ///   master.requests / master.retries / master.failures   (counters)
-  ///   master.retries_total   (counter: alias of master.retries under the
-  ///                           fleet-dashboard naming convention)
   ///   master.watchdog_trips  (counter: endpoint calls abandoned on timeout)
   ///   master.breaker_opens   (counter: circuit breakers opened)
   ///   master.deadline_skips  (counter: components shed by the deadline)
@@ -193,7 +188,7 @@ class FChainMaster {
   /// Wall-clock cutoff for one localize() (nullopt = no deadline).
   using Deadline = std::optional<std::chrono::steady_clock::time_point>;
 
-  /// One per-slave unit of the parallel fan-out.
+  /// One per-slave unit of the fan-out.
   struct BatchJob {
     std::size_t endpoint_index = 0;
     std::vector<ComponentId> ids;  ///< caller order, this slave's subset
@@ -208,14 +203,13 @@ class FChainMaster {
                    const std::vector<ComponentId>& components,
                    runtime::EndpointHealth health);
 
-  PinpointResult localizeSerial(const std::vector<ComponentId>& components,
-                                TimeSec violation_time, Deadline deadline);
-  PinpointResult localizeParallel(const std::vector<ComponentId>& components,
-                                  TimeSec violation_time, Deadline deadline);
-  /// Issues one batch (with retries) to the job's endpoint; runs on a pool
-  /// worker. Without the watchdog it holds the endpoint's mutex for the
-  /// whole retry sequence; with it, each attempt locks inside the
-  /// sacrificial thread.
+  /// Groups `components` by slave and runs one batch job per slave.
+  PinpointResult localizeBatches(const std::vector<ComponentId>& components,
+                                 TimeSec violation_time, Deadline deadline);
+  /// Issues one batch (with retries) to the job's endpoint, on a pool worker
+  /// or, without a pool, on the caller. Without the watchdog it holds the
+  /// endpoint's mutex for the whole retry sequence; with it, each attempt
+  /// locks inside the sacrificial thread.
   void runBatchJob(BatchJob& job, TimeSec violation_time, Deadline deadline);
   void mergeStats(const MasterRuntimeStats& delta);
   /// Records a request outcome on the endpoint's health and bumps the
@@ -232,8 +226,6 @@ class FChainMaster {
   obs::MetricRegistry registry_;
   obs::Counter& metric_requests_ = registry_.counter("master.requests");
   obs::Counter& metric_retries_ = registry_.counter("master.retries");
-  obs::Counter& metric_retries_total_ =
-      registry_.counter("master.retries_total");
   obs::Counter& metric_failures_ = registry_.counter("master.failures");
   obs::Counter& metric_watchdog_trips_ =
       registry_.counter("master.watchdog_trips");
@@ -256,8 +248,7 @@ class FChainMaster {
   std::map<ComponentId, std::size_t> routes_;  ///< component -> endpoint idx
   std::set<const void*> registered_;  ///< raw identity of slaves/endpoints
   netdep::DependencyGraph dependencies_;
-  int worker_threads_ = 0;  ///< 0 = serial reference path
-  std::unique_ptr<runtime::WorkerPool> pool_;
+  std::unique_ptr<runtime::WorkerPool> pool_;  ///< null = run jobs inline
   runtime::WatchdogConfig watchdog_;  ///< zeros = watchdog off
   persist::IncidentJournal* incident_journal_ = nullptr;  ///< not owned
 };

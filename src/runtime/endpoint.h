@@ -24,6 +24,7 @@
 #include <array>
 #include <optional>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "fchain/slave.h"
@@ -48,8 +49,8 @@ inline std::string_view endpointStatusName(EndpointStatus status) {
   return "unknown";
 }
 
-/// Master RPC: analyze one component's look-back window before
-/// `violation_time`.
+/// Analysis of one component's look-back window before `violation_time`;
+/// sent as a one-component AnalyzeBatchRequest (see SlaveEndpoint::analyze).
 struct AnalyzeRequest {
   ComponentId component = kNoComponent;
   TimeSec violation_time = 0;
@@ -65,10 +66,9 @@ struct AnalyzeReply {
   double latency_ms = 0.0;
 };
 
-/// Batched master RPC: one request per *slave* covering every component it
-/// monitors for this localization, instead of one request per component.
-/// This is what the parallel localization engine fans out — a slave hosting
-/// k VMs costs one transport round-trip, not k.
+/// The master's analysis RPC: one request per *slave* covering every
+/// component it monitors for this localization — a slave hosting k VMs costs
+/// one transport round-trip, not k.
 struct AnalyzeBatchRequest {
   std::vector<ComponentId> components;
   TimeSec violation_time = 0;
@@ -125,30 +125,25 @@ class SlaveEndpoint {
   /// Lists the components this slave monitors.
   virtual ComponentListReply listComponents() = 0;
 
-  /// Runs the abnormal-change analysis for one component.
-  virtual AnalyzeReply analyze(const AnalyzeRequest& request) = 0;
-
   /// Runs the abnormal-change analysis for a batch of components in one
-  /// round-trip. The default adapter loops analyze() per component so
-  /// transports that predate the batch protocol keep working; real
-  /// implementations override it with a genuinely single request
-  /// (LocalEndpoint dispatches to FChainSlave::analyzeBatch, FlakyEndpoint
-  /// rolls one transport fate for the whole batch).
-  virtual AnalyzeBatchReply analyzeBatch(const AnalyzeBatchRequest& request) {
-    AnalyzeBatchReply reply;
-    reply.status = EndpointStatus::Ok;
-    reply.findings.reserve(request.components.size());
-    for (ComponentId id : request.components) {
-      AnalyzeRequest single;
-      single.component = id;
-      single.violation_time = request.violation_time;
-      single.deadline_ms = request.deadline_ms;
-      AnalyzeReply one = analyze(single);
-      if (one.status != EndpointStatus::Ok) {
-        return {one.status, {}, reply.latency_ms + one.latency_ms};
-      }
-      reply.findings.push_back(std::move(one.finding));
-      reply.latency_ms += one.latency_ms;
+  /// round-trip (LocalEndpoint dispatches to FChainSlave::analyzeBatch,
+  /// FlakyEndpoint rolls one transport fate for the whole batch).
+  virtual AnalyzeBatchReply analyzeBatch(
+      const AnalyzeBatchRequest& request) = 0;
+
+  /// Runs the analysis for one component as a one-component batch.
+  /// Kept only because perfbench/src/bench.h's TracedEndpoint overrides it.
+  virtual AnalyzeReply analyze(const AnalyzeRequest& request) {
+    AnalyzeBatchRequest batch;
+    batch.components = {request.component};
+    batch.violation_time = request.violation_time;
+    batch.deadline_ms = request.deadline_ms;
+    AnalyzeBatchReply batched = analyzeBatch(batch);
+    AnalyzeReply reply;
+    reply.status = batched.status;
+    reply.latency_ms = batched.latency_ms;
+    if (batched.status == EndpointStatus::Ok && batched.findings.size() == 1) {
+      reply.finding = std::move(batched.findings[0]);
     }
     return reply;
   }
@@ -173,13 +168,6 @@ class LocalEndpoint final : public SlaveEndpoint {
 
   ComponentListReply listComponents() override {
     return {EndpointStatus::Ok, slave_->components()};
-  }
-
-  AnalyzeReply analyze(const AnalyzeRequest& request) override {
-    AnalyzeReply reply;
-    reply.status = EndpointStatus::Ok;
-    reply.finding = slave_->analyze(request.component, request.violation_time);
-    return reply;
   }
 
   AnalyzeBatchReply analyzeBatch(const AnalyzeBatchRequest& request) override {

@@ -74,38 +74,31 @@ class HungEndpoint final : public SlaveEndpoint {
 
   ComponentListReply listComponents() override {
     const InFlightGuard guard(*this);
-    if (!maybeBlock()) return {EndpointStatus::Dropped, {}};
+    if (guard.torn()) return {EndpointStatus::Dropped, {}};
     return inner_->listComponents();
-  }
-
-  AnalyzeReply analyze(const AnalyzeRequest& request) override {
-    const InFlightGuard guard(*this);
-    if (!maybeBlock()) {
-      AnalyzeReply reply;
-      reply.status = EndpointStatus::Dropped;
-      return reply;
-    }
-    return inner_->analyze(request);
   }
 
   AnalyzeBatchReply analyzeBatch(const AnalyzeBatchRequest& request) override {
     const InFlightGuard guard(*this);
-    if (!maybeBlock()) return {EndpointStatus::Dropped, {}, 0.0};
+    if (guard.torn()) return {EndpointStatus::Dropped, {}, 0.0};
     return inner_->analyzeBatch(request);
   }
 
   IngestReply ingest(const IngestRequest& request) override {
     const InFlightGuard guard(*this);
-    if (!maybeBlock()) return {EndpointStatus::Dropped, 0.0};
+    if (guard.torn()) return {EndpointStatus::Dropped, 0.0};
     return inner_->ingest(request);
   }
 
  private:
-  /// Scopes in_flight_ over the whole decorated call, inner work included.
+  /// Scopes in_flight_ over the whole decorated call, inner work included,
+  /// and parks the call while hung. Counting and parking share one lock
+  /// hold, so a call inFlight() reports during a hang is already parked.
   struct InFlightGuard {
     explicit InFlightGuard(HungEndpoint& endpoint) : endpoint_(endpoint) {
-      std::lock_guard<std::mutex> g(endpoint_.m_);
+      std::unique_lock<std::mutex> g(endpoint_.m_);
       ++endpoint_.in_flight_;
+      torn_ = !endpoint_.maybeBlockLocked(g);
     }
     ~InFlightGuard() {
       std::lock_guard<std::mutex> g(endpoint_.m_);
@@ -113,13 +106,16 @@ class HungEndpoint final : public SlaveEndpoint {
     }
     InFlightGuard(const InFlightGuard&) = delete;
     InFlightGuard& operator=(const InFlightGuard&) = delete;
+    /// The call was parked and then abandoned with a torn reply — the
+    /// caller must return Dropped without touching the inner endpoint.
+    bool torn() const { return torn_; }
     HungEndpoint& endpoint_;
+    bool torn_ = false;
   };
 
-  /// False: the call was parked and then abandoned with a torn reply — the
-  /// caller must return Dropped without touching the inner endpoint.
-  bool maybeBlock() {
-    std::unique_lock<std::mutex> g(m_);
+  /// Parks the call while hung (`g` holds m_); false when it was released
+  /// with a torn reply.
+  bool maybeBlockLocked(std::unique_lock<std::mutex>& g) {
     if (!hung_) return true;
     ++parked_;
     cv_.wait(g, [&] { return !hung_; });

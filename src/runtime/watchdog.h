@@ -4,8 +4,8 @@
 // badly* — drops, timeouts, outages are reply statuses the transport
 // returns. It cannot handle an endpoint that simply never returns: a hung
 // RPC library, a slave wedged in D-state, a half-dead network connection.
-// One such call would freeze the serial localization loop (or park a pool
-// worker forever) and blow through any SLO on diagnosis latency.
+// One such call would freeze an inline localization (or park a pool worker
+// forever) and blow through any SLO on diagnosis latency.
 //
 // callWithWallTimeout() bounds that: the call runs on a sacrificial thread
 // and the caller waits at most `timeout_ms` of real wall time. On timeout

@@ -1,7 +1,8 @@
-// Parallel localization engine tests: the worker pool, batched slave
-// analysis, and the determinism guarantee — localize() must return a
-// PinpointResult bit-identical to the serial reference path at any thread
-// count, including under injected endpoint outages (degraded mode).
+// Localization fan-out tests: the worker pool, batched slave analysis, and
+// the determinism guarantee — localize() must return a PinpointResult
+// bit-identical whether its per-slave batches run inline (0 threads) or on
+// a pool of any size, including under injected endpoint outages (degraded
+// mode).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -176,7 +177,7 @@ TEST(SlaveBatch, BatchMatchesPerComponentAnalysisAtAnyThreadCount) {
   c.back.setAnalysisThreads(0);
 }
 
-// --- Master determinism: serial vs parallel -------------------------------
+// --- Master determinism: inline vs pool -----------------------------------
 
 PinpointResult localizeHealthy(int threads) {
   Cluster& c = cluster();
@@ -189,18 +190,18 @@ PinpointResult localizeHealthy(int threads) {
 }
 
 TEST(ParallelLocalize, HealthyClusterIsIdenticalAcrossThreadCounts) {
-  const PinpointResult serial = localizeHealthy(0);
-  EXPECT_EQ(serial.pinpointed, (std::vector<ComponentId>{3}));
-  EXPECT_DOUBLE_EQ(serial.coverage, 1.0);
+  const PinpointResult inline_result = localizeHealthy(0);
+  EXPECT_EQ(inline_result.pinpointed, (std::vector<ComponentId>{3}));
+  EXPECT_DOUBLE_EQ(inline_result.coverage, 1.0);
   for (int threads : {1, 2, 8}) {
-    const PinpointResult parallel = localizeHealthy(threads);
-    EXPECT_TRUE(samePinpoint(serial, parallel)) << threads << " threads";
+    const PinpointResult pool = localizeHealthy(threads);
+    EXPECT_TRUE(samePinpoint(inline_result, pool)) << threads << " threads";
   }
 }
 
 /// The front slave (web + app1) is dark for the whole incident, so the
 /// batch covering components {0, 1} exhausts its retries while {2, 3}
-/// analyze normally — degraded mode under parallel fan-out.
+/// analyze normally — degraded mode at every thread count.
 PinpointResult localizeWithOutage(int threads) {
   Cluster& c = cluster();
   FChainMaster master;
@@ -217,68 +218,74 @@ PinpointResult localizeWithOutage(int threads) {
 }
 
 TEST(ParallelLocalize, EndpointOutageIsIdenticalAcrossThreadCounts) {
-  const PinpointResult serial = localizeWithOutage(0);
-  EXPECT_DOUBLE_EQ(serial.coverage, 0.5);
-  EXPECT_EQ(serial.unanalyzed, (std::vector<ComponentId>{0, 1}));
-  EXPECT_NE(std::find(serial.pinpointed.begin(), serial.pinpointed.end(),
-                      ComponentId{3}),
-            serial.pinpointed.end());
+  const PinpointResult inline_result = localizeWithOutage(0);
+  EXPECT_DOUBLE_EQ(inline_result.coverage, 0.5);
+  EXPECT_EQ(inline_result.unanalyzed, (std::vector<ComponentId>{0, 1}));
+  EXPECT_NE(std::find(inline_result.pinpointed.begin(),
+                      inline_result.pinpointed.end(), ComponentId{3}),
+            inline_result.pinpointed.end());
   for (int threads : {1, 2, 8}) {
-    const PinpointResult parallel = localizeWithOutage(threads);
-    EXPECT_TRUE(samePinpoint(serial, parallel)) << threads << " threads";
+    const PinpointResult pool = localizeWithOutage(threads);
+    EXPECT_TRUE(samePinpoint(inline_result, pool)) << threads << " threads";
   }
 }
 
 TEST(ParallelLocalize, SlaveSideParallelismPreservesTheVerdict) {
   Cluster& c = cluster();
-  const PinpointResult serial = localizeHealthy(0);
+  const PinpointResult reference = localizeHealthy(0);
   c.front.setAnalysisThreads(4);
   c.back.setAnalysisThreads(4);
   const PinpointResult parallel = localizeHealthy(4);
   c.front.setAnalysisThreads(0);
   c.back.setAnalysisThreads(0);
-  EXPECT_TRUE(samePinpoint(serial, parallel));
+  EXPECT_TRUE(samePinpoint(reference, parallel));
 }
 
 // --- Batch transport accounting -------------------------------------------
 
 TEST(ParallelLocalize, OneBatchRequestPerSlave) {
   Cluster& c = cluster();
-  FChainMaster master;
-  master.setWorkerThreads(2);
-  master.registerSlave(&c.front);
-  master.registerSlave(&c.back);
-  (void)master.localize({0, 1, 2, 3}, c.tv);
-  const auto stats = master.runtimeStats();
-  EXPECT_EQ(stats.requests, 2u);  // one batch per slave, not one per VM
-  EXPECT_EQ(stats.retries, 0u);
-  EXPECT_EQ(stats.failures, 0u);
+  for (int threads : {0, 2}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    FChainMaster master;
+    master.setWorkerThreads(threads);
+    master.registerSlave(&c.front);
+    master.registerSlave(&c.back);
+    (void)master.localize({0, 1, 2, 3}, c.tv);
+    const auto stats = master.runtimeStats();
+    EXPECT_EQ(stats.requests, 2u);  // one batch per slave, not one per VM
+    EXPECT_EQ(stats.retries, 0u);
+    EXPECT_EQ(stats.failures, 0u);
+  }
 }
 
 TEST(ParallelLocalize, OutageExhaustsBatchRetriesAndMarksEndpointDown) {
   Cluster& c = cluster();
-  FChainMaster master;
-  master.setWorkerThreads(2);
-  runtime::FlakyConfig outage;
-  outage.outage_windows = {{0, 1'000'000}};
-  master.registerEndpoint(
-      std::make_shared<runtime::FlakyEndpoint>(
-          std::make_shared<runtime::LocalEndpoint>(&c.front), outage),
-      {0, 1});
-  const auto result = master.localize({0, 1}, c.tv);
-  EXPECT_DOUBLE_EQ(result.coverage, 0.0);
-  const auto stats = master.runtimeStats();
-  EXPECT_EQ(stats.requests, 3u);  // the batch burned the full retry budget
-  EXPECT_EQ(stats.retries, 2u);
-  EXPECT_EQ(stats.failures, 2u);  // both components stayed unanalyzed
-  EXPECT_GT(stats.simulated_backoff_ms, 0.0);
-  EXPECT_EQ(master.endpointHealth().front(), runtime::HealthState::Down);
+  for (int threads : {0, 2}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    FChainMaster master;
+    master.setWorkerThreads(threads);
+    runtime::FlakyConfig outage;
+    outage.outage_windows = {{0, 1'000'000}};
+    master.registerEndpoint(
+        std::make_shared<runtime::FlakyEndpoint>(
+            std::make_shared<runtime::LocalEndpoint>(&c.front), outage),
+        {0, 1});
+    const auto result = master.localize({0, 1}, c.tv);
+    EXPECT_DOUBLE_EQ(result.coverage, 0.0);
+    const auto stats = master.runtimeStats();
+    EXPECT_EQ(stats.requests, 3u);  // the batch burned the full retry budget
+    EXPECT_EQ(stats.retries, 2u);
+    EXPECT_EQ(stats.failures, 2u);  // both components stayed unanalyzed
+    EXPECT_GT(stats.simulated_backoff_ms, 0.0);
+    EXPECT_EQ(master.endpointHealth().front(), runtime::HealthState::Down);
 
-  // A later localization outside the outage window probes once and fully
-  // recovers the endpoint — same policy as the serial path.
-  const auto after = master.localize({0, 1}, 1'000'001);
-  EXPECT_DOUBLE_EQ(after.coverage, 1.0);
-  EXPECT_EQ(master.endpointHealth().front(), runtime::HealthState::Healthy);
+    // A later localization outside the outage window probes once and fully
+    // recovers the endpoint.
+    const auto after = master.localize({0, 1}, 1'000'001);
+    EXPECT_DOUBLE_EQ(after.coverage, 1.0);
+    EXPECT_EQ(master.endpointHealth().front(), runtime::HealthState::Healthy);
+  }
 }
 
 // --- Observability: pool drain + stats adapter ----------------------------
@@ -348,10 +355,9 @@ TEST(ParallelLocalize, RuntimeStatsAdapterMatchesRegistrySnapshot) {
 }
 
 TEST(ParallelLocalize, TracedLocalizeEmitsPipelineSpans) {
-  // Flip the global tracer on around one parallel localization and check the
+  // Flip the global tracer on around one pooled localization and check the
   // span taxonomy covers every pipeline layer; the verdict itself must be
   // untouched by tracing.
-  Cluster& c = cluster();
   const PinpointResult reference = localizeHealthy(0);
   obs::Tracer& tracer = obs::tracer();
   const bool was_enabled = tracer.enabled();
@@ -375,14 +381,21 @@ TEST(ParallelLocalize, TracedLocalizeEmitsPipelineSpans) {
 
 // --- Concurrent localizations ---------------------------------------------
 
-TEST(ParallelLocalize, ConcurrentLocalizeCallsAgree) {
+/// Four threads localize the healthy incident on one 4-thread master at
+/// once; a warm-up call first, or none, so the callers race on the master's
+/// very first localize (which must only read the pool setWorkerThreads()
+/// built). Every result must match the inline reference.
+void expectConcurrentCallsAgree(bool warm_up) {
   Cluster& c = cluster();
+  const PinpointResult reference = localizeHealthy(0);
   FChainMaster master;
   master.setWorkerThreads(4);
   master.registerSlave(&c.front);
   master.registerSlave(&c.back);
   master.setDependencies(c.deps);
-  const PinpointResult reference = master.localize({0, 1, 2, 3}, c.tv);
+  if (warm_up) {
+    EXPECT_TRUE(samePinpoint(reference, master.localize({0, 1, 2, 3}, c.tv)));
+  }
 
   std::vector<PinpointResult> results(4);
   std::vector<std::thread> callers;
@@ -396,6 +409,14 @@ TEST(ParallelLocalize, ConcurrentLocalizeCallsAgree) {
   for (const PinpointResult& result : results) {
     EXPECT_TRUE(samePinpoint(reference, result));
   }
+}
+
+TEST(ParallelLocalize, ConcurrentLocalizeCallsAgree) {
+  expectConcurrentCallsAgree(/*warm_up=*/true);
+}
+
+TEST(ParallelLocalize, ConcurrentFirstLocalizeCallsAgree) {
+  expectConcurrentCallsAgree(/*warm_up=*/false);
 }
 
 }  // namespace

@@ -4,6 +4,10 @@
 // benches (this is a regression tripwire, not the measurement).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <string>
+
 #include "baselines/fchain_scheme.h"
 #include "eval/runner.h"
 #include "fchain/fchain.h"
@@ -15,6 +19,16 @@ struct CaseFloor {
   const char* label;
   double min_f1;
 };
+
+// gtest_discover_tests names each CTest case after the printed parameter
+// (".../FChainF1StaysAboveFloor/RUBiS_CpuHog"). Without this overload gtest
+// prints the raw bytes, label pointer included, and ASLR would give every
+// build different test names.
+void PrintTo(const CaseFloor& floor, std::ostream* os) {
+  std::string name = floor.label;
+  std::replace(name.begin(), name.end(), '/', '_');
+  *os << name;
+}
 
 class PaperCase : public ::testing::TestWithParam<CaseFloor> {};
 
@@ -67,14 +81,7 @@ INSTANTIATE_TEST_SUITE_P(
                       CaseFloor{"SystemS/ConcCpuHog", 0.6},
                       CaseFloor{"Hadoop/ConcMemLeak", 0.85},
                       CaseFloor{"Hadoop/ConcCpuHog", 0.85},
-                      CaseFloor{"Hadoop/ConcDiskHog", 0.7}),
-    [](const ::testing::TestParamInfo<CaseFloor>& info) {
-      std::string name = info.param.label;
-      for (char& c : name) {
-        if (c == '/' ) c = '_';
-      }
-      return name;
-    });
+                      CaseFloor{"Hadoop/ConcDiskHog", 0.7}));
 
 TEST(ExternalFactors, SurgeIsMostlyClassifiedExternal) {
   eval::TrialOptions options;
