@@ -3,6 +3,7 @@
 #include <array>
 #include <bit>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -15,16 +16,39 @@ namespace fchain::persist {
 
 namespace {
 
-std::array<std::uint32_t, 256> makeCrcTable() {
-  std::array<std::uint32_t, 256> table{};
+constexpr bool kLittleEndian = std::endian::native == std::endian::little;
+
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// Slice-by-8 tables. tables[0] is the classic byte-at-a-time table;
+/// tables[k][b] advances byte b through k more zero bytes, so one step of
+/// crc32 folds 8 input bytes with 8 independent lookups.
+constexpr CrcTables makeCrcTables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1u) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xffu];
+    }
+  }
+  return tables;
+}
+
+constexpr CrcTables kCrcTables = makeCrcTables();
+
+/// Unaligned little-endian load; compilers fold it into one load.
+std::uint32_t loadLe32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -42,24 +66,45 @@ bool syncPath(const char* path) {
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = makeCrcTable();
+  const CrcTables& t = kCrcTables;
   const auto* bytes = static_cast<const std::uint8_t*>(data);
   std::uint32_t c = seed ^ 0xffffffffu;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = table[(c ^ bytes[i]) & 0xffu] ^ (c >> 8);
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const std::uint32_t lo = loadLe32(bytes) ^ c;
+    const std::uint32_t hi = loadLe32(bytes + 4);
+    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+        t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+        t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    c = t[0][(c ^ *bytes) & 0xffu] ^ (c >> 8);
   }
   return c ^ 0xffffffffu;
 }
 
+void Encoder::append(const void* data, std::size_t size) {
+  // One insert of the bytes: resize + memcpy would zero-fill them first.
+  const auto* first = static_cast<const std::uint8_t*>(data);
+  buffer_.insert(buffer_.end(), first, first + size);
+}
+
 void Encoder::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buffer_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  if constexpr (kLittleEndian) {
+    append(&v, sizeof v);
+  } else {
+    for (int i = 0; i < 4; ++i) {
+      buffer_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
   }
 }
 
 void Encoder::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buffer_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  if constexpr (kLittleEndian) {
+    append(&v, sizeof v);
+  } else {
+    for (int i = 0; i < 8; ++i) {
+      buffer_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
   }
 }
 
@@ -71,7 +116,23 @@ void Encoder::bytes(std::span<const std::uint8_t> data) {
 
 void Encoder::doubles(std::span<const double> values) {
   u64(values.size());
-  for (double v : values) f64(v);
+  if constexpr (kLittleEndian) {
+    append(values.data(), values.size_bytes());
+  } else {
+    for (double v : values) f64(v);
+  }
+}
+
+void Encoder::patchU32(std::size_t offset, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    buffer_[offset + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+void Encoder::patchU64(std::size_t offset, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    buffer_[offset + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
 }
 
 void Decoder::need(std::size_t n) const {
@@ -116,19 +177,49 @@ std::vector<double> Decoder::doubles() {
          " exceeds remaining bytes");
   }
   std::vector<double> values(static_cast<std::size_t>(count));
-  for (double& v : values) v = f64();
+  if constexpr (kLittleEndian) {
+    if (!values.empty()) {  // an empty vector's data() may be null
+      std::memcpy(values.data(), bytes_.data() + offset_, count * 8);
+      offset_ += count * 8;
+    }
+  } else {
+    for (double& v : values) v = f64();
+  }
   return values;
+}
+
+std::span<const std::uint8_t> Decoder::bytes(std::size_t n) {
+  need(n);
+  const std::span<const std::uint8_t> view = bytes_.subspan(offset_, n);
+  offset_ += n;
+  return view;
+}
+
+Encoder beginFrame(std::size_t payload_capacity) {
+  Encoder frame;
+  frame.reserve(kFrameHeaderSize + payload_capacity);
+  frame.skip(kFrameHeaderSize);
+  return frame;
+}
+
+std::vector<std::uint8_t> sealFrame(Encoder frame, std::uint32_t magic,
+                                    std::uint32_t version) {
+  const std::span<const std::uint8_t> payload =
+      frame.bytesFrom(kFrameHeaderSize);
+  const std::uint64_t length = payload.size();
+  const std::uint32_t checksum = crc32(payload);
+  frame.patchU32(0, magic);
+  frame.patchU32(4, version);
+  frame.patchU64(8, length);
+  frame.patchU32(16, checksum);
+  return frame.take();
 }
 
 std::vector<std::uint8_t> frame(std::uint32_t magic, std::uint32_t version,
                                 std::span<const std::uint8_t> payload) {
-  Encoder out;
-  out.u32(magic);
-  out.u32(version);
-  out.u64(payload.size());
-  out.u32(crc32(payload));
+  Encoder out = beginFrame(payload.size());
   out.bytes(payload);
-  return out.take();
+  return sealFrame(std::move(out), magic, version);
 }
 
 FrameView unframe(std::span<const std::uint8_t> bytes, std::uint32_t magic,
@@ -201,13 +292,18 @@ void writeFileAtomic(const std::string& path,
 }
 
 std::vector<std::uint8_t> readFileBytes(const std::string& path) {
+  // A directory opens as an ifstream too, so check the file type before
+  // reading, and take the size from the file system.
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) {
+    throw std::runtime_error("cannot read file: " + path +
+                             " is missing or not a regular file");
+  }
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec) throw std::runtime_error("cannot size file: " + path);
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open file: " + path);
-  std::vector<std::uint8_t> bytes;
-  in.seekg(0, std::ios::end);
-  const std::streamoff size = in.tellg();
-  in.seekg(0, std::ios::beg);
-  bytes.resize(static_cast<std::size_t>(size));
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
   in.read(reinterpret_cast<char*>(bytes.data()),
           static_cast<std::streamsize>(bytes.size()));
   if (!in) throw std::runtime_error("read failure on file: " + path);

@@ -49,9 +49,18 @@ inline std::uint32_t crc32(std::span<const std::uint8_t> bytes,
   return crc32(bytes.data(), bytes.size(), seed);
 }
 
-/// Little-endian append-only byte writer.
+/// Little-endian append-only byte writer. On little-endian hosts a field or
+/// a double array is appended as one copy of its bytes; elsewhere byte by
+/// byte. Both give the same bytes.
+///
+/// A header whose fields depend on what follows it (a frame's length and
+/// CRC) is written in place: `skip` its bytes, encode what follows, then
+/// `patchU32`/`patchU64` the header. The payload is never copied.
 class Encoder {
  public:
+  /// Makes room for `n` more bytes, so appending them allocates nothing.
+  void reserve(std::size_t n) { buffer_.reserve(buffer_.size() + n); }
+
   void u8(std::uint8_t v) { buffer_.push_back(v); }
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
@@ -62,11 +71,23 @@ class Encoder {
   /// u64 count followed by the raw doubles.
   void doubles(std::span<const double> values);
 
+  /// Appends `n` zero bytes for a header patched in later.
+  void skip(std::size_t n) { buffer_.resize(buffer_.size() + n); }
+  /// Overwrite bytes already written, at `offset`, little-endian.
+  void patchU32(std::size_t offset, std::uint32_t v);
+  void patchU64(std::size_t offset, std::uint64_t v);
+  /// The bytes written from `offset` on, e.g. the payload behind a header.
+  std::span<const std::uint8_t> bytesFrom(std::size_t offset) const {
+    return std::span<const std::uint8_t>(buffer_).subspan(offset);
+  }
+
   const std::vector<std::uint8_t>& buffer() const { return buffer_; }
   std::vector<std::uint8_t> take() { return std::move(buffer_); }
   std::size_t size() const { return buffer_.size(); }
 
  private:
+  void append(const void* data, std::size_t size);
+
   std::vector<std::uint8_t> buffer_;
 };
 
@@ -85,6 +106,8 @@ class Decoder {
   /// the remaining bytes first, so a corrupt length field fails here instead
   /// of triggering a multi-gigabyte allocation.
   std::vector<double> doubles();
+  /// The next `n` bytes, as a view into the decoded buffer (no copy).
+  std::span<const std::uint8_t> bytes(std::size_t n);
 
   std::size_t offset() const { return offset_; }
   std::size_t remaining() const { return bytes_.size() - offset_; }
@@ -105,6 +128,17 @@ class Decoder {
 /// payload crc32 u32 | payload bytes.
 inline constexpr std::size_t kFrameHeaderSize = 4 + 4 + 8 + 4;
 
+/// Starts a frame in one buffer: a blank header, with room for
+/// `payload_capacity` bytes behind it. Encode the payload into the returned
+/// Encoder, then pass it to sealFrame.
+Encoder beginFrame(std::size_t payload_capacity = 0);
+
+/// Patches magic, version, payload length and payload CRC into the header
+/// of a beginFrame Encoder, and returns its buffer as the finished frame.
+std::vector<std::uint8_t> sealFrame(Encoder frame, std::uint32_t magic,
+                                    std::uint32_t version);
+
+/// A frame around a copy of `payload` (beginFrame, then sealFrame).
 std::vector<std::uint8_t> frame(std::uint32_t magic, std::uint32_t version,
                                 std::span<const std::uint8_t> payload);
 
@@ -129,7 +163,8 @@ FrameView unframe(std::span<const std::uint8_t> bytes, std::uint32_t magic,
 void writeFileAtomic(const std::string& path,
                      std::span<const std::uint8_t> bytes);
 
-/// Whole-file read; throws std::runtime_error when the file cannot be read.
+/// Whole-file read; throws std::runtime_error when `path` is missing, is not
+/// a regular file (a directory, say), or cannot be read.
 std::vector<std::uint8_t> readFileBytes(const std::string& path);
 
 bool fileExists(const std::string& path);

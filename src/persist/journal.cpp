@@ -20,14 +20,28 @@ void writeHeader(std::ofstream& out, std::uint32_t magic,
             static_cast<std::streamsize>(header.size()));
 }
 
-/// Frames one record: u32 payload length | u32 payload crc | payload.
-void writeRecord(std::ofstream& out, const Encoder& payload) {
-  Encoder framed;
-  framed.u32(static_cast<std::uint32_t>(payload.size()));
-  framed.u32(crc32(payload.buffer()));
-  framed.bytes(payload.buffer());
-  out.write(reinterpret_cast<const char*>(framed.buffer().data()),
-            static_cast<std::streamsize>(framed.size()));
+/// Record header: u32 payload length | u32 payload crc.
+constexpr std::size_t kRecordHeaderSize = 4 + 4;
+
+/// Starts a record in one buffer, like beginFrame: a blank record header
+/// with room for `payload_capacity` bytes behind it.
+Encoder beginRecord(std::size_t payload_capacity) {
+  Encoder record;
+  record.reserve(kRecordHeaderSize + payload_capacity);
+  record.skip(kRecordHeaderSize);
+  return record;
+}
+
+/// Patches the header of a beginRecord Encoder, then writes and flushes it.
+void writeRecord(std::ofstream& out, Encoder& record) {
+  const std::span<const std::uint8_t> payload =
+      record.bytesFrom(kRecordHeaderSize);
+  const auto length = static_cast<std::uint32_t>(payload.size());
+  const std::uint32_t checksum = crc32(payload);
+  record.patchU32(0, length);
+  record.patchU32(4, checksum);
+  out.write(reinterpret_cast<const char*>(record.buffer().data()),
+            static_cast<std::streamsize>(record.size()));
   out.flush();
 }
 
@@ -55,8 +69,7 @@ bool walkRecords(Decoder& in, std::size_t base_offset, Visit visit,
     const std::uint32_t length = in.u32();
     const std::uint32_t checksum = in.u32();
     if (in.remaining() < length) return false;  // torn payload
-    std::vector<std::uint8_t> payload(static_cast<std::size_t>(length));
-    for (auto& byte : payload) byte = in.u8();
+    const std::span<const std::uint8_t> payload = in.bytes(length);
     if (crc32(payload) != checksum) return false;  // torn / corrupt tail
     visit(payload);
   }
@@ -111,11 +124,11 @@ SampleJournalWriter::SampleJournalWriter(std::string path, std::uint64_t epoch,
 }
 
 void SampleJournalWriter::append(const SampleRecord& record) {
-  Encoder payload;
-  payload.u32(record.component);
-  payload.i64(record.t);
-  for (double v : record.sample) payload.f64(v);
-  writeRecord(out_, payload);
+  Encoder framed = beginRecord(4 + 8 + 8 * record.sample.size());
+  framed.u32(record.component);
+  framed.i64(record.t);
+  for (double v : record.sample) framed.f64(v);
+  writeRecord(out_, framed);
   if (!out_) {
     throw std::runtime_error("write failure on sample journal: " + path_);
   }
@@ -225,13 +238,13 @@ std::uint64_t IncidentJournal::logStart(
     const std::vector<ComponentId>& components, TimeSec violation_time) {
   const std::lock_guard<std::mutex> lock(mu_);
   const std::uint64_t id = next_id_++;
-  Encoder payload;
-  payload.u8(kIncidentStart);
-  payload.u64(id);
-  payload.i64(violation_time);
-  payload.u64(components.size());
-  for (ComponentId component : components) payload.u32(component);
-  writeRecord(out_, payload);
+  Encoder framed = beginRecord(1 + 8 + 8 + 8 + 4 * components.size());
+  framed.u8(kIncidentStart);
+  framed.u64(id);
+  framed.i64(violation_time);
+  framed.u64(components.size());
+  for (ComponentId component : components) framed.u32(component);
+  writeRecord(out_, framed);
   if (!out_) {
     throw std::runtime_error("write failure on incident journal: " + path_);
   }
@@ -240,10 +253,10 @@ std::uint64_t IncidentJournal::logStart(
 
 void IncidentJournal::logDone(std::uint64_t id) {
   const std::lock_guard<std::mutex> lock(mu_);
-  Encoder payload;
-  payload.u8(kIncidentDone);
-  payload.u64(id);
-  writeRecord(out_, payload);
+  Encoder framed = beginRecord(1 + 8);
+  framed.u8(kIncidentDone);
+  framed.u64(id);
+  writeRecord(out_, framed);
   if (!out_) {
     throw std::runtime_error("write failure on incident journal: " + path_);
   }

@@ -73,10 +73,31 @@ PredictorState decodePredictor(Decoder& in) {
   return p;
 }
 
+/// An upper bound on the payload encodeSlaveSnapshot writes, so it
+/// allocates its buffer once. Every field but a double array takes at most
+/// 8 bytes; the double arrays are nearly all of a snapshot's bytes.
+std::size_t payloadSizeBound(const SlaveSnapshot& snapshot) {
+  std::size_t fields = 3;  // host, epoch, VM count
+  std::size_t doubles = 0;
+  for (const VmSnapshotState& vm : snapshot.vms) {
+    fields += 6;  // component and the five ingest counters
+    for (const SeriesState& series : vm.series) {
+      fields += 2;  // start, count
+      doubles += series.values.size();
+    }
+    for (const PredictorState& p : vm.predictors) {
+      fields += 18;  // encodePredictor's scalars and array counts
+      doubles += p.calibration_buffer.size() + p.counts.size() +
+                 p.row_mass.size() + p.errors.values.size();
+    }
+  }
+  return 8 * (fields + doubles);
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encodeSlaveSnapshot(const SlaveSnapshot& snapshot) {
-  Encoder payload;
+  Encoder payload = beginFrame(payloadSizeBound(snapshot));
   payload.u32(snapshot.host);
   payload.u64(snapshot.epoch);
   payload.u64(snapshot.vms.size());
@@ -90,7 +111,7 @@ std::vector<std::uint8_t> encodeSlaveSnapshot(const SlaveSnapshot& snapshot) {
     payload.u64(vm.stale_dropped);
     payload.u64(vm.future_dropped);
   }
-  return frame(kSnapshotMagic, kSnapshotVersion, payload.buffer());
+  return sealFrame(std::move(payload), kSnapshotMagic, kSnapshotVersion);
 }
 
 SlaveSnapshot decodeSlaveSnapshot(std::span<const std::uint8_t> bytes) {

@@ -11,11 +11,16 @@ namespace {
 using persist::Decoder;
 using persist::Encoder;
 
-std::vector<std::uint8_t> frameOf(MsgType type, Encoder body) {
-  Encoder payload;
-  payload.u8(static_cast<std::uint8_t>(type));
-  payload.bytes(body.buffer());
-  return persist::frame(kWireMagic, kWireVersion, payload.buffer());
+/// Starts a message in one buffer: a blank frame header, then the type
+/// byte, with room for `body_capacity` body bytes behind them.
+Encoder beginMessage(MsgType type, std::size_t body_capacity = 0) {
+  Encoder message = persist::beginFrame(1 + body_capacity);
+  message.u8(static_cast<std::uint8_t>(type));
+  return message;
+}
+
+std::vector<std::uint8_t> sealMessage(Encoder message) {
+  return persist::sealFrame(std::move(message), kWireMagic, kWireVersion);
 }
 
 void encodeComponents(Encoder& e, const std::vector<ComponentId>& ids) {
@@ -194,32 +199,32 @@ std::uint64_t slaveIdentityHash(HostId host,
 }
 
 std::vector<std::uint8_t> encodeHello(const Hello& msg) {
-  Encoder body;
+  Encoder body = beginMessage(MsgType::Hello);
   body.u32(msg.protocol_version);
-  return frameOf(MsgType::Hello, std::move(body));
+  return sealMessage(std::move(body));
 }
 
 std::vector<std::uint8_t> encodeHelloReply(const HelloReply& msg) {
-  Encoder body;
+  Encoder body = beginMessage(MsgType::HelloReply);
   body.u32(msg.protocol_version);
   body.u32(msg.host);
   body.u64(msg.identity_hash);
   encodeComponents(body, msg.components);
-  return frameOf(MsgType::HelloReply, std::move(body));
+  return sealMessage(std::move(body));
 }
 
 std::vector<std::uint8_t> encodeAnalyzeBatchRequest(
     const AnalyzeBatchRequest& msg) {
-  Encoder body;
+  Encoder body = beginMessage(MsgType::AnalyzeBatchRequest);
   encodeComponents(body, msg.components);
   body.i64(msg.violation_time);
   body.f64(msg.deadline_ms);
-  return frameOf(MsgType::AnalyzeBatchRequest, std::move(body));
+  return sealMessage(std::move(body));
 }
 
 std::vector<std::uint8_t> encodeAnalyzeBatchReply(
     const AnalyzeBatchReply& msg) {
-  Encoder body;
+  Encoder body = beginMessage(MsgType::AnalyzeBatchReply);
   body.u8(static_cast<std::uint8_t>(msg.status));
   body.f64(msg.latency_ms);
   body.u64(msg.findings.size());
@@ -227,47 +232,48 @@ std::vector<std::uint8_t> encodeAnalyzeBatchReply(
     body.u8(slot.has_value() ? 1 : 0);
     if (slot.has_value()) encodeFinding(body, *slot);
   }
-  return frameOf(MsgType::AnalyzeBatchReply, std::move(body));
+  return sealMessage(std::move(body));
 }
 
 std::vector<std::uint8_t> encodeIngestRequest(const IngestRequest& msg) {
-  Encoder body;
+  Encoder body =
+      beginMessage(MsgType::IngestRequest, 4 + 8 + 8 + 8 * msg.sample.size());
   body.u32(msg.component);
   body.i64(msg.t);
   body.f64(msg.deadline_ms);
   for (double v : msg.sample) body.f64(v);
-  return frameOf(MsgType::IngestRequest, std::move(body));
+  return sealMessage(std::move(body));
 }
 
 std::vector<std::uint8_t> encodeIngestReply(const IngestReply& msg) {
-  Encoder body;
+  Encoder body = beginMessage(MsgType::IngestReply, 1 + 8);
   body.u8(static_cast<std::uint8_t>(msg.status));
   body.f64(msg.latency_ms);
-  return frameOf(MsgType::IngestReply, std::move(body));
+  return sealMessage(std::move(body));
 }
 
 std::vector<std::uint8_t> encodeListComponentsRequest() {
-  return frameOf(MsgType::ListComponentsRequest, Encoder{});
+  return sealMessage(beginMessage(MsgType::ListComponentsRequest));
 }
 
 std::vector<std::uint8_t> encodeListComponentsReply(
     const ComponentListReply& msg) {
-  Encoder body;
+  Encoder body = beginMessage(MsgType::ListComponentsReply);
   body.u8(static_cast<std::uint8_t>(msg.status));
   encodeComponents(body, msg.components);
-  return frameOf(MsgType::ListComponentsReply, std::move(body));
+  return sealMessage(std::move(body));
 }
 
 std::vector<std::uint8_t> encodeError(const WireError& msg) {
-  Encoder body;
+  Encoder body = beginMessage(MsgType::Error);
   body.u32(static_cast<std::uint32_t>(msg.code));
   body.u64(msg.message.size());
   for (char c : msg.message) body.u8(static_cast<std::uint8_t>(c));
-  return frameOf(MsgType::Error, std::move(body));
+  return sealMessage(std::move(body));
 }
 
 std::vector<std::uint8_t> encodeShutdown() {
-  return frameOf(MsgType::Shutdown, Encoder{});
+  return sealMessage(beginMessage(MsgType::Shutdown));
 }
 
 Message decodeMessage(std::span<const std::uint8_t> frame_bytes) {

@@ -644,6 +644,9 @@ TEST(SnapshotFixtures, ValidFixtureLoads) {
   ASSERT_EQ(snapshot.vms.size(), 1u);
   EXPECT_EQ(snapshot.vms[0].predictors[0].row_mass,
             (std::vector<double>{1.0, 2.5}));
+  // The encoder still writes the checked-in bytes, byte for byte.
+  EXPECT_EQ(persist::encodeSlaveSnapshot(fixtureSnapshot()),
+            persist::readFileBytes(fixturePath("valid.bin")));
 }
 
 TEST(SnapshotFixtures, EveryCorruptFixtureIsRejectedWithOffset) {

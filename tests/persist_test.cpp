@@ -3,10 +3,14 @@
 // journals (torn-tail tolerance, incident pending scan, epoch handling).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <random>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,6 +43,68 @@ TEST(Codec, Crc32ChunkedEqualsWhole) {
   EXPECT_EQ(chunked, whole);
 }
 
+/// The byte-at-a-time CRC-32 that slice-by-8 replaced: one table lookup per
+/// byte. crc32 must return exactly what this returns.
+std::uint32_t bytewiseCrc32(std::span<const std::uint8_t> bytes,
+                            std::uint32_t seed = 0) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1u) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = seed ^ 0xffffffffu;
+  for (std::uint8_t byte : bytes) c = table[(c ^ byte) & 0xffu] ^ (c >> 8);
+  return c ^ 0xffffffffu;
+}
+
+std::vector<std::uint8_t> randomBytes(std::size_t size, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::uint8_t> bytes(size);
+  std::uint64_t word = 0;
+  for (std::size_t i = 0; i < size; ++i) {
+    if (i % 8 == 0) word = rng();
+    bytes[i] = static_cast<std::uint8_t>(word >> (8 * (i % 8)));
+  }
+  return bytes;
+}
+
+TEST(Codec, Crc32MatchesBytewiseAtEveryLengthAndOffset) {
+  // Every length through 64 covers the 8-byte steps, the byte-wise tail and
+  // their every mix; every start offset 0-7 covers every alignment.
+  const std::vector<std::uint8_t> buffer = randomBytes(64 + 7, 17);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const std::span<const std::uint8_t> bytes(buffer.data() + offset,
+                                                length);
+      ASSERT_EQ(crc32(bytes), bytewiseCrc32(bytes))
+          << "offset " << offset << ", length " << length;
+    }
+  }
+}
+
+TEST(Codec, Crc32SeedChainsAtEveryTwoChunkSplit) {
+  const std::vector<std::uint8_t> buffer = randomBytes(64, 23);
+  const std::span<const std::uint8_t> bytes(buffer);
+  const std::uint32_t whole = bytewiseCrc32(bytes);
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    const std::uint32_t head = crc32(bytes.first(split));
+    EXPECT_EQ(crc32(bytes.subspan(split), head), whole)
+        << "split at byte " << split;
+  }
+}
+
+TEST(Codec, Crc32MatchesBytewiseOnA16MiBBuffer) {
+  const std::vector<std::uint8_t> buffer = randomBytes(std::size_t{16} << 20,
+                                                       29);
+  EXPECT_EQ(crc32(buffer), bytewiseCrc32(buffer));
+}
+
 TEST(Codec, ScalarRoundTrip) {
   Encoder enc;
   enc.u8(0xAB);
@@ -67,6 +133,7 @@ TEST(Codec, DoublesRoundTripBitExactly) {
       std::numeric_limits<double>::max(),
       -std::numeric_limits<double>::infinity(),
       std::numeric_limits<double>::quiet_NaN(),
+      std::bit_cast<double>(std::uint64_t{0x7ff4000000000123}),  // sNaN
   };
   Encoder enc;
   enc.doubles(values);
@@ -78,6 +145,66 @@ TEST(Codec, DoublesRoundTripBitExactly) {
               std::bit_cast<std::uint64_t>(values[i]))
         << "value index " << i;
   }
+
+  // The bulk copy writes the format, a u64 count then each double's bits,
+  // both little-endian, at every length and behind every alignment, and
+  // decodes from those unaligned offsets. The expected bytes are built by
+  // shifts, independent of the codec.
+  const auto appendLe64 = [](std::vector<std::uint8_t>& out,
+                             std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  };
+  std::mt19937_64 rng(31);
+  for (std::size_t n = 0; n <= 130; ++n) {
+    std::vector<double> array(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      array[i] = i < values.size() ? values[i] : std::bit_cast<double>(rng());
+    }
+    for (std::size_t lead = 0; lead < 8; ++lead) {
+      Encoder out;
+      std::vector<std::uint8_t> expected(lead, 0xa5);
+      for (std::size_t i = 0; i < lead; ++i) out.u8(0xa5);
+      out.doubles(array);
+      appendLe64(expected, n);
+      for (double v : array) {
+        appendLe64(expected, std::bit_cast<std::uint64_t>(v));
+      }
+      ASSERT_EQ(out.buffer(), expected) << "length " << n << ", lead " << lead;
+
+      Decoder in(out.buffer());
+      for (std::size_t i = 0; i < lead; ++i) in.u8();
+      const std::vector<double> decoded = in.doubles();
+      EXPECT_TRUE(in.done());
+      ASSERT_EQ(decoded.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(decoded[i]),
+                  std::bit_cast<std::uint64_t>(array[i]))
+            << "length " << n << ", lead " << lead << ", index " << i;
+      }
+    }
+  }
+}
+
+TEST(Codec, DecoderBytesIsABoundsCheckedView) {
+  Encoder enc;
+  enc.u32(0x04030201u);
+  enc.u8(9);
+  Decoder dec(enc.buffer());
+  const std::span<const std::uint8_t> view = dec.bytes(4);
+  EXPECT_EQ(view.data(), enc.buffer().data());  // a view, not a copy
+  EXPECT_EQ(std::vector<std::uint8_t>(view.begin(), view.end()),
+            (std::vector<std::uint8_t>{1, 2, 3, 4}));
+  EXPECT_EQ(dec.offset(), 4u);
+  try {
+    dec.bytes(2);
+    FAIL() << "read past end was accepted";
+  } catch (const CorruptDataError& e) {
+    EXPECT_EQ(e.offset(), 4u);
+  }
+  EXPECT_EQ(dec.bytes(1).front(), 9);
+  EXPECT_TRUE(dec.done());
 }
 
 TEST(Codec, DecoderRejectsReadPastEnd) {
@@ -113,6 +240,11 @@ TEST(Codec, FrameRoundTrip) {
   EXPECT_EQ(view.version, 3u);
   Decoder dec(view.payload);
   EXPECT_EQ(dec.u64(), 1234u);
+
+  // Framing in place writes the same bytes as framing a copy.
+  Encoder in_place = beginFrame();
+  in_place.u64(1234);
+  EXPECT_EQ(sealFrame(std::move(in_place), 0x54534554u, 3), framed);
 }
 
 TEST(Codec, UnframeRejectsEachCorruption) {
@@ -178,6 +310,8 @@ TEST(Codec, WriteFileAtomicRoundTrip) {
 
 TEST(Codec, ReadMissingFileThrows) {
   EXPECT_THROW(readFileBytes("/nonexistent/state.bin"), std::runtime_error);
+  // A directory opens as a stream but is not a file to read.
+  EXPECT_THROW(readFileBytes(::testing::TempDir()), std::runtime_error);
 }
 
 // --- Snapshot codec -------------------------------------------------------
@@ -236,6 +370,15 @@ TEST(Snapshot, EncodeDecodeRoundTrip) {
   EXPECT_EQ(p.last_state, 1u);
   EXPECT_EQ(p.predicted_next, 0.6);
   EXPECT_EQ(vm.series[0].values, (std::vector<double>{0.5, 0.25, 0.75}));
+}
+
+TEST(Snapshot, EncodeReservesItsBufferOnce) {
+  // The encoder reserves an upper bound of its size up front. Had it
+  // regrown, the capacity would be about twice the size; the bound's slack
+  // is the 7 spare bytes of each one-byte field, plus the 4-byte ids.
+  const auto bytes = encodeSlaveSnapshot(sampleSnapshot());
+  EXPECT_GE(bytes.capacity(), bytes.size());
+  EXPECT_LE(bytes.capacity(), bytes.size() + 3 * 7 * kMetricCount + 4 + 4);
 }
 
 TEST(Snapshot, DecodeRejectsBitRotAnywhere) {
