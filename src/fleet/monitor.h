@@ -7,7 +7,7 @@
 // telemetry streams to the shard that owns the *component*. FleetMonitor
 // reproduces that topology in-process:
 //
-//   ingest(id, t, s) ──▶ monitors_[ownerOfComponent(id)]  (ring + slave)
+//   ingest(id, t, s) ──▶ monitors_[ownerOfComponent(id)]  (slave)
 //   observe(app, …)  ──▶ monitors_[ownerOfApp(app.name)]  (SLO latch)
 //                             │ fire
 //                             ▼

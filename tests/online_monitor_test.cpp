@@ -1,7 +1,7 @@
-// Unit tests for the online monitoring runtime: TelemetryRing bounds and
-// gap handling, SLO latch -> auto-trigger, cooldown queueing/drops, re-arm
-// after recovery, fire-and-forget ingest over flaky transports, the
-// checkpointed ingest path, and the online.* metric instruments.
+// Unit tests for the online monitoring runtime: SLO latch -> auto-trigger,
+// cooldown queueing/drops, re-arm after recovery, ingest routing,
+// fire-and-forget ingest over flaky transports, the checkpointed ingest
+// path, and the online.* metric instruments.
 #include <array>
 #include <cmath>
 #include <filesystem>
@@ -14,7 +14,6 @@
 #include "fchain/recovery.h"
 #include "online/checkpointed_endpoint.h"
 #include "online/monitor.h"
-#include "online/ring.h"
 #include "runtime/flaky_endpoint.h"
 
 namespace fchain::online {
@@ -28,85 +27,6 @@ std::array<double, kMetricCount> sampleAt(TimeSec t, ComponentId id) {
            std::sin(static_cast<double>(t) * 0.1 + static_cast<double>(m));
   }
   return s;
-}
-
-// --- TelemetryRing --------------------------------------------------------
-
-TEST(TelemetryRing, AppendsAndEvictsAtCapacity) {
-  TelemetryRing ring(5);
-  ring.addComponent(0);
-  for (TimeSec t = 0; t < 12; ++t) ring.push(0, t, sampleAt(t, 0));
-  EXPECT_EQ(ring.occupancy(), 5u);
-  EXPECT_EQ(ring.evictions(), 7u);
-  EXPECT_EQ(ring.startTime(0), TimeSec{7});
-  EXPECT_EQ(ring.endTime(0), TimeSec{12});
-  EXPECT_FALSE(ring.at(0, 6).has_value());
-  ASSERT_TRUE(ring.at(0, 11).has_value());
-  EXPECT_EQ(*ring.at(0, 11), sampleAt(11, 0));
-}
-
-TEST(TelemetryRing, GapIsFilledWithLastValue) {
-  TelemetryRing ring(10);
-  ring.addComponent(3);
-  ring.push(3, 0, sampleAt(0, 3));
-  ring.push(3, 4, sampleAt(4, 3));  // gap of 3 seconds
-  EXPECT_EQ(ring.occupancy(), 5u);
-  ASSERT_TRUE(ring.at(3, 2).has_value());
-  EXPECT_EQ(*ring.at(3, 2), sampleAt(0, 3));  // filled with the last value
-  EXPECT_EQ(*ring.at(3, 4), sampleAt(4, 3));
-}
-
-TEST(TelemetryRing, DuplicateOverwritesInPlace) {
-  TelemetryRing ring(10);
-  ring.addComponent(0);
-  ring.push(0, 0, sampleAt(0, 0));
-  ring.push(0, 1, sampleAt(1, 0));
-  std::array<double, kMetricCount> fixed{};
-  fixed.fill(99.0);
-  ring.push(0, 0, fixed);
-  EXPECT_EQ(ring.occupancy(), 2u);
-  EXPECT_EQ(*ring.at(0, 0), fixed);
-}
-
-TEST(TelemetryRing, StaleSampleIsIgnored) {
-  TelemetryRing ring(3);
-  ring.addComponent(0);
-  for (TimeSec t = 0; t < 6; ++t) ring.push(0, t, sampleAt(t, 0));
-  const std::size_t occupancy = ring.occupancy();
-  EXPECT_TRUE(ring.push(0, 1, sampleAt(1, 0)));  // older than the window
-  EXPECT_EQ(ring.occupancy(), occupancy);
-  EXPECT_EQ(ring.startTime(0), TimeSec{3});
-}
-
-TEST(TelemetryRing, HugeGapRestartsTheWindow) {
-  TelemetryRing ring(5);
-  ring.addComponent(0);
-  ring.push(0, 0, sampleAt(0, 0));
-  ring.push(0, 1, sampleAt(1, 0));
-  ring.push(0, 1000, sampleAt(1000, 0));  // fill would flush everything
-  EXPECT_EQ(ring.occupancy(), 1u);
-  EXPECT_EQ(ring.evictions(), 2u);
-  EXPECT_EQ(ring.startTime(0), TimeSec{1000});
-}
-
-TEST(TelemetryRing, ShrinkingTheBudgetTrimsExistingWindows) {
-  TelemetryRing ring(10);
-  ring.addComponent(0);
-  ring.addComponent(1);
-  for (TimeSec t = 0; t < 10; ++t) {
-    ring.push(0, t, sampleAt(t, 0));
-    ring.push(1, t, sampleAt(t, 1));
-  }
-  EXPECT_EQ(ring.occupancy(), 20u);
-  ring.setCapacityPerComponent(4);
-  EXPECT_EQ(ring.occupancy(), 8u);
-  EXPECT_EQ(ring.capacity(), 8u);
-  EXPECT_EQ(ring.startTime(0), TimeSec{6});
-}
-
-TEST(TelemetryRing, UnknownComponentIsRejected) {
-  TelemetryRing ring(5);
-  EXPECT_FALSE(ring.push(42, 0, sampleAt(0, 42)));
 }
 
 // --- Monitor fixtures -----------------------------------------------------
@@ -300,58 +220,21 @@ TEST(OnlineMonitor, DrainFlushesTheQueueRegardlessOfCooldown) {
   EXPECT_EQ(fx.monitor->incidents().size(), 2u);
 }
 
-// --- Ring budget under streaming ------------------------------------------
-
-TEST(OnlineMonitor, RingOccupancyNeverExceedsTheDerivedCapacity) {
-  OnlineMonitorConfig cfg;
-  cfg.retention_sec = 50;
-  Fixture fx(cfg);
-  double peak = 0.0;
-  for (TimeSec t = 0; t < 300; ++t) {
-    fx.streamTick(t, 0.05);
-    peak = std::max(
-        peak, fx.monitor->metrics().snapshot().gauges.at(
-                  "online.ring_occupancy"));
-    ASSERT_LE(fx.monitor->ringOccupancy(), fx.monitor->ringCapacity());
-  }
-  EXPECT_EQ(fx.monitor->ringCapacity(), 200u);  // 50 samples x 4 components
-  EXPECT_EQ(peak, 200.0);
-  EXPECT_EQ(fx.monitor->metrics().snapshot().gauges.at("online.ring_peak"),
-            200.0);
-  EXPECT_GT(
-      fx.monitor->metrics().snapshot().counters.at("online.ring_evictions"),
-      0u);
-}
-
-TEST(OnlineMonitor, ByteCapShrinksThePerComponentWindow) {
-  OnlineMonitorConfig cfg;
-  cfg.retention_sec = 1000;
-  // Budget for 10 samples x 4 components.
-  cfg.max_ring_bytes = TelemetryRing::kBytesPerSample * 40;
-  Fixture fx(cfg);
-  EXPECT_EQ(fx.monitor->ring().capacityPerComponent(), 10u);
-  for (TimeSec t = 0; t < 100; ++t) fx.streamTick(t, 0.05);
-  EXPECT_LE(fx.monitor->ringOccupancy(), 40u);
-  EXPECT_LE(fx.monitor->ring().approxBytes(), cfg.max_ring_bytes);
-}
-
-TEST(OnlineMonitor, DerivedRetentionCoversTheAnalysisWindows) {
-  OnlineMonitorConfig cfg;
-  Fixture fx(cfg);
-  const core::FChainConfig& f = cfg.fchain;
-  EXPECT_GE(fx.monitor->retentionSec(),
-            f.lookback_sec + f.history_error_window_sec +
-                2 * f.burst_half_window_sec);
-}
-
 // --- Transport behaviour --------------------------------------------------
 
 TEST(OnlineMonitor, UnroutableComponentCountsAsIngestFailure) {
   Fixture fx;
   fx.monitor->ingest(99, 0, sampleAt(0, 99));
-  EXPECT_EQ(
-      fx.monitor->metrics().snapshot().counters.at("online.ingest_failures"),
-      1u);
+  auto counters = fx.monitor->metrics().snapshot().counters;
+  EXPECT_EQ(counters.at("online.ingest_failures"), 1u);
+  EXPECT_EQ(counters.at("online.ingest_samples"), 0u);
+  // A routable component still reaches its owning slave.
+  fx.monitor->ingest(0, 0, sampleAt(0, 0));
+  ASSERT_NE(fx.front->seriesOf(0), nullptr);
+  EXPECT_EQ(fx.front->seriesOf(0)->endTime(), 1);
+  counters = fx.monitor->metrics().snapshot().counters;
+  EXPECT_EQ(counters.at("online.ingest_samples"), 1u);
+  EXPECT_EQ(counters.at("online.ingest_failures"), 1u);
 }
 
 TEST(OnlineMonitor, FlakyIngestIsLossyButGapFillRepairsTheSlave) {
