@@ -131,9 +131,7 @@ struct SteadyStateResult {
 };
 
 SteadyStateResult benchSteadyState(std::size_t ticks, std::uint64_t seed) {
-  online::OnlineMonitorConfig config;
-  config.worker_threads = 0;
-  online::OnlineMonitor monitor(std::move(config));
+  online::OnlineMonitor monitor;
 
   auto fleet = healthyFleet(ticks, seed);
   std::vector<std::unique_ptr<sim::StreamingSource>> sources;

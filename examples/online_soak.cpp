@@ -126,10 +126,11 @@ int main(int argc, char** argv) {
 
   const std::vector<FleetApp> apps = fleet(ticks, seed);
 
+  core::FChainMaster master;
+  master.setWorkerThreads(2);
   online::OnlineMonitorConfig config;
   config.cooldown_sec = 600;
-  config.worker_threads = 2;
-  online::OnlineMonitor monitor(std::move(config));
+  online::OnlineMonitor monitor(config, master);
 
   std::vector<std::unique_ptr<sim::StreamingSource>> sources;
   std::vector<std::unique_ptr<core::FChainSlave>> slaves;

@@ -174,23 +174,24 @@ EpisodeRecord runEpisode(const EpisodeSpec& spec,
   scenario.duration_sec = spec.duration_sec;
   sim::StreamingSource source(scenario);
 
-  online::OnlineMonitorConfig config;
+  core::FChainConfig fchain;
   // Hadoop's DiskHog is the paper's slow-manifestation fault: it needs the
   // longer 500 s look-back window (mirrors eval/cases.cpp).
   if (spec.app == sim::AppKind::Hadoop) {
     for (const faults::FaultSpec& f : spec.faults) {
       if (f.type == faults::FaultType::DiskHog) {
-        config.fchain.lookback_sec = 500;
+        fchain.lookback_sec = 500;
       }
     }
   }
 
   SlaveCell cell;
-  cell.slave = std::make_unique<core::FChainSlave>(/*host=*/0, config.fchain);
+  cell.slave = std::make_unique<core::FChainSlave>(/*host=*/0, fchain);
   const std::vector<ComponentId> ids = source.componentIds();
   for (ComponentId id : ids) cell.slave->addComponent(id, /*start_time=*/0);
 
-  online::OnlineMonitor monitor(config);
+  core::FChainMaster master(fchain);
+  online::OnlineMonitor monitor({}, master);
   monitor.addEndpoint(std::make_shared<RestartableEndpoint>(&cell, 0), ids);
 
   online::AppSpec app;
@@ -217,7 +218,7 @@ EpisodeRecord runEpisode(const EpisodeSpec& spec,
     // samples, and a replacement registers its components *at* t.
     if (crashes.crashesAt(0, t)) cell.slave.reset();
     if (crashes.restartsAt(0, t)) {
-      cell.slave = std::make_unique<core::FChainSlave>(0, config.fchain);
+      cell.slave = std::make_unique<core::FChainSlave>(0, fchain);
       for (ComponentId id : ids) cell.slave->addComponent(id, t);
     }
     cell.down = telemetry.slaveDown(0, t);

@@ -154,18 +154,6 @@ std::vector<HealthState> FChainMaster::endpointHealth() const {
   return states;
 }
 
-MasterRuntimeStats FChainMaster::runtimeStats() const {
-  MasterRuntimeStats stats;
-  stats.requests = metric_requests_.value();
-  stats.retries = metric_retries_.value();
-  stats.failures = metric_failures_.value();
-  stats.simulated_backoff_ms = metric_backoff_ms_.value();
-  stats.watchdog_trips = metric_watchdog_trips_.value();
-  stats.breaker_opens = metric_breaker_opens_.value();
-  stats.deadline_skips = metric_deadline_skips_.value();
-  return stats;
-}
-
 void FChainMaster::mergeStats(const MasterRuntimeStats& delta) {
   metric_requests_.add(delta.requests);
   metric_retries_.add(delta.retries);

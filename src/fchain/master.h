@@ -50,13 +50,11 @@ class WorkerPool;
 
 namespace fchain::core {
 
-/// Transport bookkeeping accumulated across localize() calls. A request is
-/// one transport round-trip: one per slave *batch* attempt.
-///
-/// This struct is now a *view*: the authoritative values live in the
-/// master's obs::MetricRegistry (counters "master.requests" / ".retries" /
-/// ".failures" and gauge "master.backoff_ms"); runtimeStats() adapts the
-/// registry back into this shape for existing callers.
+/// Transport bookkeeping of one unit of work (a slave batch job, or one
+/// discovery): a request is one transport round-trip, one per attempt.
+/// The unit fills it privately and mergeStats() adds it to the master's
+/// obs::MetricRegistry once the unit is done; callers read the registry
+/// (see metrics()).
 struct MasterRuntimeStats {
   std::size_t requests = 0;   ///< analysis attempts issued (incl. retries)
   std::size_t retries = 0;    ///< attempts beyond the first per request
@@ -68,7 +66,31 @@ struct MasterRuntimeStats {
   std::size_t deadline_skips = 0;   ///< components shed by the deadline
 };
 
-class FChainMaster {
+/// What the online monitor hands a latched incident to: a single
+/// FChainMaster or the sharded fleet::FleetMaster. The monitor registers
+/// each slave's transport here, installs the application's dependency graph
+/// before each fan-out, and reads its own instruments and the supervision
+/// counters from this tier's registry. Nothing owns a tier through this
+/// interface, so its destructor is protected.
+class LocalizationTier {
+ public:
+  /// Registers a slave behind `endpoint`, which monitors `components`.
+  virtual void registerEndpoint(
+      std::shared_ptr<runtime::SlaveEndpoint> endpoint,
+      const std::vector<ComponentId>& components) = 0;
+  /// Dependency graph (global id space) used by the next localizations.
+  virtual void setDependencies(netdep::DependencyGraph graph) = 0;
+  /// Localizes the fault for the application made of `components`.
+  virtual PinpointResult localize(const std::vector<ComponentId>& components,
+                                  TimeSec violation_time) = 0;
+  /// The tier's metric registry.
+  virtual obs::MetricRegistry& metrics() = 0;
+
+ protected:
+  ~LocalizationTier() = default;
+};
+
+class FChainMaster final : public LocalizationTier {
  public:
   explicit FChainMaster(FChainConfig config = {},
                         runtime::RetryPolicy retry = {})
@@ -94,11 +116,11 @@ class FChainMaster {
   /// Same, with the component routing known up front (deployment manifest);
   /// skips the discovery RPC entirely.
   void registerEndpoint(std::shared_ptr<runtime::SlaveEndpoint> endpoint,
-                        const std::vector<ComponentId>& components);
+                        const std::vector<ComponentId>& components) override;
 
   /// Supplies the offline-discovered dependency graph (may be empty — e.g.
   /// for stream processing systems, where discovery finds nothing).
-  void setDependencies(netdep::DependencyGraph graph) {
+  void setDependencies(netdep::DependencyGraph graph) override {
     dependencies_ = std::move(graph);
   }
 
@@ -133,11 +155,6 @@ class FChainMaster {
   /// Health of every registered endpoint, in registration order.
   std::vector<runtime::HealthState> endpointHealth() const;
 
-  /// Thin adapter over the metric registry: reads the transport counters
-  /// back into the legacy struct. Values are identical to the registry
-  /// snapshot's, by construction.
-  MasterRuntimeStats runtimeStats() const;
-
   /// This master's metric registry. Registry metric names:
   ///   master.requests / master.retries / master.failures   (counters)
   ///   master.watchdog_trips  (counter: endpoint calls abandoned on timeout)
@@ -150,7 +167,7 @@ class FChainMaster {
   ///   master.pool_pending    (gauge: worker-pool queue depth after the
   ///                           fan-out drains — 0 unless something leaked)
   ///   master.localize_ms     (histogram: end-to-end localize wall-clock)
-  obs::MetricRegistry& metrics() { return registry_; }
+  obs::MetricRegistry& metrics() override { return registry_; }
   const obs::MetricRegistry& metrics() const { return registry_; }
 
   /// Localizes the fault for the application made of `components`. Degraded
@@ -163,7 +180,7 @@ class FChainMaster {
   /// atomics. When the global obs tracer is enabled, the call emits
   /// master / worker-pool / slave / signal-kernel spans.
   PinpointResult localize(const std::vector<ComponentId>& components,
-                          TimeSec violation_time);
+                          TimeSec violation_time) override;
 
   /// Localize + online validation against a simulation snapshot.
   PinpointResult localizeAndValidate(

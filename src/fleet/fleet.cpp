@@ -49,7 +49,7 @@ std::unique_ptr<core::FChainMaster> FleetMaster::buildMaster(Shard& shard) {
   return master;
 }
 
-void FleetMaster::registerSlices(
+void FleetMaster::registerEndpoint(
     std::shared_ptr<runtime::SlaveEndpoint> endpoint,
     const std::vector<ComponentId>& components) {
   for (ShardPartial& slice : partitionByOwner(ring_, components)) {
@@ -64,25 +64,8 @@ void FleetMaster::registerSlices(
 }
 
 void FleetMaster::addSlave(core::FChainSlave* slave) {
-  // A LocalEndpoint per owning shard (not one shared endpoint): each shard
-  // master's registered-identity guard then sees a distinct endpoint, and
-  // the underlying slave analysis is const + thread-safe, so cross-shard
-  // fan-out over the same slave is fine.
-  for (ShardPartial& slice : partitionByOwner(ring_, slave->components())) {
-    Shard& shard = checkedShard(slice.shard);
-    shard.registrations.push_back(
-        Registration{std::make_shared<runtime::LocalEndpoint>(slave),
-                     std::move(slice.components)});
-    if (shard.master) {
-      shard.master->registerEndpoint(shard.registrations.back().endpoint,
-                                     shard.registrations.back().components);
-    }
-  }
-}
-
-void FleetMaster::addEndpoint(std::shared_ptr<runtime::SlaveEndpoint> endpoint,
-                              const std::vector<ComponentId>& components) {
-  registerSlices(std::move(endpoint), components);
+  registerEndpoint(std::make_shared<runtime::LocalEndpoint>(slave),
+                   slave->components());
 }
 
 void FleetMaster::setDependencies(netdep::DependencyGraph graph) {

@@ -75,27 +75,29 @@ struct FleetConfig {
   std::string journal_dir;
 };
 
-class FleetMaster {
+class FleetMaster final : public core::LocalizationTier {
  public:
   explicit FleetMaster(FleetConfig config = {});
   ~FleetMaster();
 
   // --- Registration (before localizations start) -------------------------
 
-  /// Registers an in-process slave with every shard owning one of its
-  /// components (each shard gets a LocalEndpoint over the slice it owns).
-  /// The slave must outlive the fleet; components must be registered first.
+  /// Registers an in-process slave through registerEndpoint(): one
+  /// LocalEndpoint, shared by every shard owning one of its components
+  /// (slave analysis is const + thread-safe, so shard masters may call it
+  /// concurrently). The slave must outlive the fleet; components must be
+  /// registered first.
   void addSlave(core::FChainSlave* slave);
 
   /// Registers a transport endpoint under a manifest component list; the
   /// list is sliced by ring ownership and each owning shard registers the
   /// shared endpoint for its slice.
-  void addEndpoint(std::shared_ptr<runtime::SlaveEndpoint> endpoint,
-                   const std::vector<ComponentId>& components);
+  void registerEndpoint(std::shared_ptr<runtime::SlaveEndpoint> endpoint,
+                        const std::vector<ComponentId>& components) override;
 
   /// Cluster dependency graph (global id space), installed on every shard
   /// and used by the cross-shard merge.
-  void setDependencies(netdep::DependencyGraph graph);
+  void setDependencies(netdep::DependencyGraph graph) override;
 
   // --- Localization ------------------------------------------------------
 
@@ -103,7 +105,7 @@ class FleetMaster {
   /// whichever shards own them. Down shards contribute their slice as
   /// unanalyzed (degraded coverage) instead of failing the localization.
   core::PinpointResult localize(const std::vector<ComponentId>& components,
-                                TimeSec violation_time);
+                                TimeSec violation_time) override;
 
   // --- Failover ----------------------------------------------------------
 
@@ -139,7 +141,7 @@ class FleetMaster {
   ///   fleet.shard_fanouts   (counter: per-shard localizations issued)
   ///   fleet.dark_slices     (counter: slices answered by a crashed shard)
   ///   fleet.components      (counter: components routed through localize)
-  obs::MetricRegistry& metrics() { return registry_; }
+  obs::MetricRegistry& metrics() override { return registry_; }
   const obs::MetricRegistry& metrics() const { return registry_; }
 
   /// Sum of every shard master's metric snapshot plus the fleet's own —
@@ -164,8 +166,6 @@ class FleetMaster {
   /// Fresh master wired with config, dependencies, and the shard journal;
   /// re-registers `registrations`.
   std::unique_ptr<core::FChainMaster> buildMaster(Shard& shard);
-  void registerSlices(std::shared_ptr<runtime::SlaveEndpoint> endpoint,
-                      const std::vector<ComponentId>& components);
 
   FleetConfig config_;
   HashRing ring_;

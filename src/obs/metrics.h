@@ -8,10 +8,10 @@
 // the slow path (a mutex plus a map insert); callers register once and keep
 // the returned reference, which stays valid for the registry's lifetime.
 //
-// FChainMaster owns a registry per instance, replacing the bespoke
-// MasterRuntimeStats plumbing (runtimeStats() is now a thin adapter over
-// the registry counters); a process-global registry (obs::metrics()) is
-// available for instruments that outlive any one component.
+// FChainMaster owns a registry per instance, the only home of its
+// transport and supervision counters; a process-global registry
+// (obs::metrics()) is available for instruments that outlive any one
+// component.
 #pragma once
 
 #include <atomic>

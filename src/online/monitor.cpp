@@ -8,10 +8,14 @@
 
 namespace fchain::online {
 
+OnlineMonitor::OnlineMonitor(OnlineMonitorConfig config,
+                             core::LocalizationTier& localizer)
+    : config_(config), localizer_(localizer) {}
+
 OnlineMonitor::OnlineMonitor(OnlineMonitorConfig config)
-    : config_(std::move(config)), master_(config_.fchain, config_.retry) {
-  master_.setWorkerThreads(config_.worker_threads);
-}
+    : config_(config),
+      owned_master_(std::make_unique<core::FChainMaster>()),
+      localizer_(*owned_master_) {}
 
 void OnlineMonitor::addSlave(core::FChainSlave* slave) {
   addEndpoint(std::make_shared<runtime::LocalEndpoint>(slave),
@@ -21,7 +25,7 @@ void OnlineMonitor::addSlave(core::FChainSlave* slave) {
 void OnlineMonitor::addEndpoint(
     std::shared_ptr<runtime::SlaveEndpoint> endpoint,
     const std::vector<ComponentId>& components) {
-  master_.registerEndpoint(endpoint, components);  // throws on dup claims
+  localizer_.registerEndpoint(endpoint, components);  // throws on dup claims
   for (ComponentId id : components) ingest_routes_[id] = endpoint;
 }
 
@@ -35,7 +39,7 @@ std::size_t OnlineMonitor::addApplication(AppSpec spec) {
 
 void OnlineMonitor::setDependencies(netdep::DependencyGraph graph) {
   default_deps_ = graph;
-  master_.setDependencies(std::move(graph));
+  localizer_.setDependencies(std::move(graph));
 }
 
 void OnlineMonitor::setDependencies(std::size_t app,
@@ -43,14 +47,6 @@ void OnlineMonitor::setDependencies(std::size_t app,
   AppState& state = apps_.at(app);
   state.deps = std::move(graph);
   state.has_deps = true;
-}
-
-void OnlineMonitor::setWatchdog(runtime::WatchdogConfig config) {
-  master_.setWatchdog(config);
-}
-
-void OnlineMonitor::setIncidentJournal(persist::IncidentJournal* journal) {
-  master_.setIncidentJournal(journal);
 }
 
 void OnlineMonitor::ingest(ComponentId id, TimeSec t,
@@ -163,19 +159,17 @@ void OnlineMonitor::fire(std::size_t app, TimeSec tv) {
   incident.violation_time = tv;
   incident.triggered_at = clock_;
   incident.queued_delay_sec = clock_ - tv;
-  const core::MasterRuntimeStats before = master_.runtimeStats();
-  if (localizer_) {
-    incident.result = localizer_(app, state.spec.components, tv);
-  } else {
-    // Dependency knowledge is per-application (see setDependencies): install
-    // this app's graph — or the cluster default — for the fan-out. Fires are
-    // serialized through latch()/pump(), so the swap cannot race a localize.
-    master_.setDependencies(state.has_deps ? state.deps : default_deps_);
-    incident.result = master_.localize(state.spec.components, tv);
-  }
-  const core::MasterRuntimeStats after = master_.runtimeStats();
-  incident.watchdog_trips_delta = after.watchdog_trips - before.watchdog_trips;
-  incident.deadline_skips_delta = after.deadline_skips - before.deadline_skips;
+  const std::uint64_t trips_before = metric_watchdog_trips_.value();
+  const std::uint64_t skips_before = metric_deadline_skips_.value();
+  // Dependency knowledge is per-application (see setDependencies): install
+  // this app's graph — or the cluster default — for the fan-out. Fires are
+  // serialized through latch()/pump(), so the swap cannot race a localize.
+  localizer_.setDependencies(state.has_deps ? state.deps : default_deps_);
+  incident.result = localizer_.localize(state.spec.components, tv);
+  incident.watchdog_trips_delta =
+      metric_watchdog_trips_.value() - trips_before;
+  incident.deadline_skips_delta =
+      metric_deadline_skips_.value() - skips_before;
   incident.localize_wall_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - wall_start)

@@ -9,7 +9,7 @@
 // closes that loop:
 //
 //   StreamingSource ──samples──▶ ingest() ──route──▶ SlaveEndpoint::ingest RPC
-//                  ──SLO signal─▶ observe*() ──latch──▶ FChainMaster::localize
+//                  ──SLO signal─▶ observe*() ──latch──▶ localizer.localize
 //
 // Triggering semantics (all in deterministic *sample* time, never wall
 // time, so a replayed stream reproduces the same incidents bit-for-bit):
@@ -32,13 +32,19 @@
 // For a queued incident the slaves have kept learning past tv; the offline
 // equivalent replays the model to the trigger-time series end instead.
 //
-// The monitor owns its FChainMaster; transports registered through
-// addSlave()/addEndpoint() serve both the analysis RPCs and the streaming
-// ingest RPC (runtime::IngestRequest). The monitor keeps no telemetry of its
-// own: as in the paper, the slaves hold the metric streams and the master
-// only ever sees their findings. Ingest is fire-and-forget: a lost sample
-// is repaired by the slave's gap-fill on the next arrival, so there is no
-// retry path to storm a degraded slave with.
+// As in the paper, the monitor only reports the violation at tv; the fan-out
+// belongs to the localizer it is handed (core::LocalizationTier): one
+// FChainMaster, or the sharded fleet::FleetMaster. The caller configures
+// that localizer (FChainConfig, retries, worker threads, watchdog, incident
+// journal) and keeps it alive for the monitor's lifetime. A default-built
+// monitor owns a default FChainMaster instead. Transports registered
+// through addSlave()/addEndpoint() are registered with the localizer for
+// the analysis RPCs and serve the monitor's streaming ingest RPC
+// (runtime::IngestRequest). The monitor keeps no telemetry of its own: the
+// slaves hold the metric streams and the localizer only ever sees their
+// findings. Ingest is fire-and-forget: a lost sample is repaired by the
+// slave's gap-fill on the next arrival, so there is no retry path to storm
+// a degraded slave with.
 //
 // The driver loop contract, per simulated second:
 //   1. ingest() every component's sample for tick t;
@@ -86,9 +92,6 @@ struct AppSpec {
 };
 
 struct OnlineMonitorConfig {
-  core::FChainConfig fchain;
-  runtime::RetryPolicy retry;
-
   /// Seconds of sample time after a trigger during which further latches
   /// queue instead of firing (localization storm control).
   TimeSec cooldown_sec = 60;
@@ -101,10 +104,6 @@ struct OnlineMonitorConfig {
   /// criterion is cumulative progress of rearm_good_sec x min_delta since
   /// the trigger.
   TimeSec rearm_good_sec = 30;
-
-  /// Worker threads for the master's localization fan-out (0 = run the
-  /// per-slave batches inline on the calling thread).
-  int worker_threads = 0;
 
   /// Deadline stamped on every ingest RPC (0 disables).
   double ingest_deadline_ms = 0.0;
@@ -120,10 +119,12 @@ struct OnlineIncident {
   double localize_wall_ms = 0.0;
   /// Supervision deltas across *this* localization (0 when the watchdog is
   /// off): endpoint calls abandoned on timeout and components shed by the
-  /// localize deadline. Unlike localize_wall_ms these are deterministic
-  /// under a deterministic transport, so offline analytics (the fault
-  /// campaign's timed-out classification) can key on them without
-  /// reintroducing wall-clock noise into reports.
+  /// localize deadline, read from the localizer's master.watchdog_trips and
+  /// master.deadline_skips counters (a FleetMaster keeps those in its shard
+  /// masters, so under a fleet both read 0). Unlike localize_wall_ms these
+  /// are deterministic under a deterministic transport, so offline analytics
+  /// (the fault campaign's timed-out classification) can key on them
+  /// without reintroducing wall-clock noise into reports.
   std::size_t watchdog_trips_delta = 0;
   std::size_t deadline_skips_delta = 0;
   core::PinpointResult result;
@@ -132,11 +133,11 @@ struct OnlineIncident {
 class OnlineMonitor {
  public:
   using IncidentCallback = std::function<void(const OnlineIncident&)>;
-  /// Replacement fan-out for a latched incident: (app index, the app's
-  /// components, violation time) -> PinpointResult. See setLocalizer().
-  using Localizer = std::function<core::PinpointResult(
-      std::size_t, const std::vector<ComponentId>&, TimeSec)>;
 
+  /// Hands latched incidents to `localizer`, which must outlive the monitor.
+  OnlineMonitor(OnlineMonitorConfig config,
+                core::LocalizationTier& localizer);
+  /// Owns a default FChainMaster as its localizer.
   explicit OnlineMonitor(OnlineMonitorConfig config = {});
 
   // --- Registration (before streaming starts) ----------------------------
@@ -146,9 +147,10 @@ class OnlineMonitor {
   /// registered.
   void addSlave(core::FChainSlave* slave);
 
-  /// Registers a slave behind an arbitrary transport. The endpoint must
-  /// implement the ingest RPC (LocalEndpoint, CheckpointedEndpoint, and the
-  /// chaos decorators all do).
+  /// Registers a slave behind an arbitrary transport, with the localizer
+  /// and as the ingest route of its components. The endpoint must implement
+  /// the ingest RPC (LocalEndpoint, CheckpointedEndpoint, and the chaos
+  /// decorators all do).
   void addEndpoint(std::shared_ptr<runtime::SlaveEndpoint> endpoint,
                    const std::vector<ComponentId>& components);
 
@@ -161,27 +163,13 @@ class OnlineMonitor {
   void setDependencies(netdep::DependencyGraph graph);
 
   /// Per-application dependency graph (global id space), installed on the
-  /// master for this application's localizations only. Localization
+  /// localizer for this application's localizations only. Localization
   /// semantics are per-application: an app whose discovery found *nothing*
   /// (the paper's data-stream negative finding) must fall back to
   /// chronology-only pinpointing even when other apps on the same monitor
   /// have rich graphs — a merged cluster graph would silently defeat that
   /// fallback and mark every unconnected component an independent fault.
   void setDependencies(std::size_t app, netdep::DependencyGraph graph);
-  void setWatchdog(runtime::WatchdogConfig config);
-  /// Incident journal for crash recovery (not owned; see fchain/recovery.h).
-  void setIncidentJournal(persist::IncidentJournal* journal);
-
-  /// Routes fired incidents through an external localizer instead of the
-  /// monitor's own master (the fleet tier's fan-in seam: the owning-shard
-  /// monitor keeps all latch/cooldown/re-arm semantics and hands only the
-  /// fan-out to the fleet). Everything else about an incident — tv
-  /// anchoring, queueing, callbacks, metrics — is unchanged; the master's
-  /// per-app dependency install is skipped, since the external localizer
-  /// owns dependency knowledge. Pass {} to restore the built-in path.
-  void setLocalizer(Localizer localizer) {
-    localizer_ = std::move(localizer);
-  }
 
   // --- Streaming ---------------------------------------------------------
 
@@ -223,10 +211,7 @@ class OnlineMonitor {
   /// The monitor retains no telemetry; kept only for perfbench's reader.
   std::size_t ringOccupancy() const { return 0; }
 
-  core::FChainMaster& master() { return master_; }
-  const core::FChainMaster& master() const { return master_; }
-
-  /// The master's registry, extended with the monitor's own instruments:
+  /// The localizer's registry, extended with the monitor's own instruments:
   ///   online.ingest_samples    (counter: samples routed to a slave)
   ///   online.ingest_failures   (counter: ingest RPCs lost / unroutable)
   ///   online.slo_latches       (counter: SLO violations latched)
@@ -237,8 +222,8 @@ class OnlineMonitor {
   ///                              synchronously fired incidents; queued
   ///                              incidents additionally report their
   ///                              sample-time delay in queued_delay_sec)
-  obs::MetricRegistry& metrics() { return master_.metrics(); }
-  const obs::MetricRegistry& metrics() const { return master_.metrics(); }
+  obs::MetricRegistry& metrics() { return registry_; }
+  const obs::MetricRegistry& metrics() const { return registry_; }
 
  private:
   struct AppState {
@@ -272,7 +257,9 @@ class OnlineMonitor {
   bool updateRearm(AppState& state, double signal_good);
 
   OnlineMonitorConfig config_;
-  core::FChainMaster master_;
+  /// The default-built monitor's own master (null when handed a localizer).
+  std::unique_ptr<core::FChainMaster> owned_master_;
+  core::LocalizationTier& localizer_;
   /// Owning slave of each component; a miss is an unroutable sample.
   std::map<ComponentId, std::shared_ptr<runtime::SlaveEndpoint>>
       ingest_routes_;
@@ -282,27 +269,31 @@ class OnlineMonitor {
   std::deque<PendingTrigger> pending_;
   std::vector<OnlineIncident> incidents_;
   IncidentCallback callback_;
-  Localizer localizer_;  ///< empty = use the monitor's own master
 
   TimeSec clock_ = 0;
   bool fired_once_ = false;
   TimeSec last_fire_clock_ = 0;
 
+  obs::MetricRegistry& registry_ = localizer_.metrics();
   obs::Counter& metric_ingest_samples_ =
-      master_.metrics().counter("online.ingest_samples");
+      registry_.counter("online.ingest_samples");
   obs::Counter& metric_ingest_failures_ =
-      master_.metrics().counter("online.ingest_failures");
-  obs::Counter& metric_slo_latches_ =
-      master_.metrics().counter("online.slo_latches");
-  obs::Counter& metric_triggers_ = master_.metrics().counter("online.triggers");
+      registry_.counter("online.ingest_failures");
+  obs::Counter& metric_slo_latches_ = registry_.counter("online.slo_latches");
+  obs::Counter& metric_triggers_ = registry_.counter("online.triggers");
   obs::Counter& metric_incidents_queued_ =
-      master_.metrics().counter("online.incidents_queued");
+      registry_.counter("online.incidents_queued");
   obs::Counter& metric_incidents_dropped_ =
-      master_.metrics().counter("online.incidents_dropped");
-  obs::Histogram& metric_trigger_latency_ms_ = master_.metrics().histogram(
+      registry_.counter("online.incidents_dropped");
+  obs::Histogram& metric_trigger_latency_ms_ = registry_.histogram(
       "online.trigger_latency_ms",
       {1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0,
        5000.0, 10000.0});
+  /// The localizer's supervision counters (zero unless it runs a watchdog).
+  const obs::Counter& metric_watchdog_trips_ =
+      registry_.counter("master.watchdog_trips");
+  const obs::Counter& metric_deadline_skips_ =
+      registry_.counter("master.deadline_skips");
 };
 
 }  // namespace fchain::online

@@ -428,9 +428,9 @@ TEST(Watchdog, HungEndpointIsBoundedIntoDegradedCoverage) {
   EXPECT_LT(elapsed_ms, 5000.0);
   EXPECT_EQ(result.unanalyzed, (std::vector<ComponentId>{2, 3}));
   EXPECT_DOUBLE_EQ(result.coverage, 0.5);
-  const auto stats = d.master->runtimeStats();
-  EXPECT_GE(stats.watchdog_trips, 1u);
-  EXPECT_EQ(stats.breaker_opens, 1u);
+  const auto snap = d.master->metrics().snapshot();
+  EXPECT_GE(snap.counters.at("master.watchdog_trips"), 1u);
+  EXPECT_EQ(snap.counters.at("master.breaker_opens"), 1u);
 
   // Un-wedge, drain the abandoned sacrificial calls, and the endpoint is
   // back in coverage on the very next localize (probe completes -> closed).
@@ -471,7 +471,8 @@ TEST(Watchdog, LocalizeDeadlineShedsRemainingComponents) {
   const PinpointResult result = d.master->localize({0, 1, 2, 3}, 380);
   EXPECT_EQ(result.unanalyzed, (std::vector<ComponentId>{0, 1, 2, 3}));
   EXPECT_DOUBLE_EQ(result.coverage, 0.0);
-  EXPECT_EQ(d.master->runtimeStats().deadline_skips, 4u);
+  EXPECT_EQ(
+      d.master->metrics().snapshot().counters.at("master.deadline_skips"), 4u);
 }
 
 TEST(Watchdog, ParallelFanOutAlsoBoundsHungEndpoint) {
@@ -485,7 +486,8 @@ TEST(Watchdog, ParallelFanOutAlsoBoundsHungEndpoint) {
   const PinpointResult result = d.master->localize({0, 1, 2, 3}, 380);
   EXPECT_EQ(result.unanalyzed, (std::vector<ComponentId>{2, 3}));
   EXPECT_DOUBLE_EQ(result.coverage, 0.5);
-  EXPECT_GE(d.master->runtimeStats().watchdog_trips, 1u);
+  EXPECT_GE(
+      d.master->metrics().snapshot().counters.at("master.watchdog_trips"), 1u);
   drainHung(*d.hung);
 }
 
@@ -502,7 +504,7 @@ TEST(Watchdog, ZeroConfigIsBitIdenticalToLegacyBehaviour) {
   with.setDependencies(run.deps);
   const auto result = with.localize({0, 1, 2, 3}, run.tv);
   EXPECT_EQ(renderPinpoint(result, run.tv), readGolden("single_fault"));
-  EXPECT_EQ(with.runtimeStats().watchdog_trips, 0u);
+  EXPECT_EQ(with.metrics().snapshot().counters.at("master.watchdog_trips"), 0u);
 }
 
 TEST(CircuitBreaker, TripsProbesAndCloses) {

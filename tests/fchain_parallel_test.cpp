@@ -252,10 +252,11 @@ TEST(ParallelLocalize, OneBatchRequestPerSlave) {
     master.registerSlave(&c.front);
     master.registerSlave(&c.back);
     (void)master.localize({0, 1, 2, 3}, c.tv);
-    const auto stats = master.runtimeStats();
-    EXPECT_EQ(stats.requests, 2u);  // one batch per slave, not one per VM
-    EXPECT_EQ(stats.retries, 0u);
-    EXPECT_EQ(stats.failures, 0u);
+    const auto snap = master.metrics().snapshot();
+    // One batch per slave, not one per VM.
+    EXPECT_EQ(snap.counters.at("master.requests"), 2u);
+    EXPECT_EQ(snap.counters.at("master.retries"), 0u);
+    EXPECT_EQ(snap.counters.at("master.failures"), 0u);
   }
 }
 
@@ -273,11 +274,13 @@ TEST(ParallelLocalize, OutageExhaustsBatchRetriesAndMarksEndpointDown) {
         {0, 1});
     const auto result = master.localize({0, 1}, c.tv);
     EXPECT_DOUBLE_EQ(result.coverage, 0.0);
-    const auto stats = master.runtimeStats();
-    EXPECT_EQ(stats.requests, 3u);  // the batch burned the full retry budget
-    EXPECT_EQ(stats.retries, 2u);
-    EXPECT_EQ(stats.failures, 2u);  // both components stayed unanalyzed
-    EXPECT_GT(stats.simulated_backoff_ms, 0.0);
+    const auto snap = master.metrics().snapshot();
+    // The batch burned the full retry budget...
+    EXPECT_EQ(snap.counters.at("master.requests"), 3u);
+    EXPECT_EQ(snap.counters.at("master.retries"), 2u);
+    // ...and both components stayed unanalyzed.
+    EXPECT_EQ(snap.counters.at("master.failures"), 2u);
+    EXPECT_GT(snap.gauges.at("master.backoff_ms"), 0.0);
     EXPECT_EQ(master.endpointHealth().front(), runtime::HealthState::Down);
 
     // A later localization outside the outage window probes once and fully
@@ -325,9 +328,9 @@ TEST(ParallelLocalize, PoolDrainsToZeroAfterLocalize) {
       master.metrics().snapshot().gauges.at("master.pool_pending"), 0.0);
 }
 
-TEST(ParallelLocalize, RuntimeStatsAdapterMatchesRegistrySnapshot) {
+TEST(ParallelLocalize, OutageCountsLandInTheRegistry) {
   // Exercise retries *and* failures (dark front slave burns the full retry
-  // budget), then check the legacy struct is exactly the registry values.
+  // budget) on the pool, then read the counts from the registry.
   Cluster& c = cluster();
   FChainMaster master;
   master.setWorkerThreads(2);
@@ -340,16 +343,11 @@ TEST(ParallelLocalize, RuntimeStatsAdapterMatchesRegistrySnapshot) {
   master.registerSlave(&c.back);
   (void)master.localize({0, 1, 2, 3}, c.tv);
 
-  const MasterRuntimeStats stats = master.runtimeStats();
   const obs::MetricsSnapshot snap = master.metrics().snapshot();
-  EXPECT_GT(stats.requests, 0u);
-  EXPECT_GT(stats.retries, 0u);
-  EXPECT_GT(stats.failures, 0u);
-  EXPECT_GT(stats.simulated_backoff_ms, 0.0);
-  EXPECT_EQ(stats.requests, snap.counters.at("master.requests"));
-  EXPECT_EQ(stats.retries, snap.counters.at("master.retries"));
-  EXPECT_EQ(stats.failures, snap.counters.at("master.failures"));
-  EXPECT_EQ(stats.simulated_backoff_ms, snap.gauges.at("master.backoff_ms"));
+  EXPECT_GT(snap.counters.at("master.requests"), 0u);
+  EXPECT_GT(snap.counters.at("master.retries"), 0u);
+  EXPECT_GT(snap.counters.at("master.failures"), 0u);
+  EXPECT_GT(snap.gauges.at("master.backoff_ms"), 0.0);
   // Every localize() lands one observation in the latency histogram.
   EXPECT_EQ(snap.histograms.at("master.localize_ms").count, 1u);
 }

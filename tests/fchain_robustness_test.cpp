@@ -253,11 +253,11 @@ TEST(MasterDiscovery, RetriesAreCountedBackedOffAndHealthTracked) {
   FChainMaster master;
   master.registerEndpoint(endpoint);
 
-  const auto stats = master.runtimeStats();
-  EXPECT_EQ(stats.requests, 3u);  // two failures + the success
-  EXPECT_EQ(stats.retries, 2u);
-  EXPECT_EQ(stats.failures, 0u);
-  EXPECT_GT(stats.simulated_backoff_ms, 0.0);  // retries are paced
+  const auto snap = master.metrics().snapshot();
+  EXPECT_EQ(snap.counters.at("master.requests"), 3u);  // 2 failures + success
+  EXPECT_EQ(snap.counters.at("master.retries"), 2u);
+  EXPECT_EQ(snap.counters.at("master.failures"), 0u);
+  EXPECT_GT(snap.gauges.at("master.backoff_ms"), 0.0);  // retries are paced
   // The discovery failures carry into the endpoint's health history.
   ASSERT_EQ(master.endpointHealth().size(), 1u);
   EXPECT_EQ(master.endpointHealth().front(), runtime::HealthState::Healthy);
@@ -273,11 +273,11 @@ TEST(MasterDiscovery, ExhaustedDiscoveryCountsAsFailure) {
 
   FChainMaster master;
   EXPECT_THROW(master.registerEndpoint(endpoint), std::runtime_error);
-  const auto stats = master.runtimeStats();
-  EXPECT_EQ(stats.requests, 3u);  // the full retry budget was spent
-  EXPECT_EQ(stats.retries, 2u);
-  EXPECT_EQ(stats.failures, 1u);
-  EXPECT_GT(stats.simulated_backoff_ms, 0.0);
+  const auto snap = master.metrics().snapshot();
+  EXPECT_EQ(snap.counters.at("master.requests"), 3u);  // full retry budget
+  EXPECT_EQ(snap.counters.at("master.retries"), 2u);
+  EXPECT_EQ(snap.counters.at("master.failures"), 1u);
+  EXPECT_GT(snap.gauges.at("master.backoff_ms"), 0.0);
   EXPECT_TRUE(master.endpointHealth().empty());  // never registered
 }
 
@@ -333,7 +333,7 @@ TEST(FlakyEndpoint, RetriesRecoverFromColdStart) {
   const auto result = master.localize({0}, 100);
   EXPECT_DOUBLE_EQ(result.coverage, 1.0);
   EXPECT_TRUE(result.unanalyzed.empty());
-  EXPECT_GT(master.runtimeStats().retries, 0u);
+  EXPECT_GT(master.metrics().snapshot().counters.at("master.retries"), 0u);
   EXPECT_EQ(master.endpointHealth().front(), runtime::HealthState::Healthy);
 }
 
@@ -366,7 +366,7 @@ TEST(FlakyEndpoint, DeadSlaveYieldsPartialCoverageNotFailure) {
   const auto result = master.localize({0, 2}, 100);  // tv inside the outage
   EXPECT_DOUBLE_EQ(result.coverage, 0.5);
   EXPECT_EQ(result.unanalyzed, (std::vector<ComponentId>{2}));
-  EXPECT_GT(master.runtimeStats().failures, 0u);
+  EXPECT_GT(master.metrics().snapshot().counters.at("master.failures"), 0u);
   const auto health = master.endpointHealth();
   ASSERT_EQ(health.size(), 2u);
   EXPECT_EQ(health[0], runtime::HealthState::Healthy);

@@ -2,7 +2,7 @@
 // localization result must be *byte-identical* to the single-master golden
 // for every N in {1, 2, 4, 8} on the campaign's canonical scenarios —
 // including a shard crash mid-localization followed by journal-driven
-// recovery, and the online FleetMonitor fan-in over a live stream.
+// recovery, and an OnlineMonitor handed the fleet over a live stream.
 //
 // Golden ownership: single_fault / concurrent_fault are produced by
 // test_golden_localization (the offline single-master reference) and are
@@ -23,8 +23,8 @@
 
 #include "fchain/fchain.h"
 #include "fleet/fleet.h"
-#include "fleet/monitor.h"
 #include "netdep/dependency.h"
+#include "online/monitor.h"
 #include "pinpoint_render.h"
 #include "sim/apps.h"
 #include "sim/simulator.h"
@@ -304,7 +304,7 @@ TEST(FleetFailover, CrashMidLocalizationThenRerunMatchesGolden) {
   std::filesystem::remove_all(dir);
 }
 
-// --- Online fan-in: FleetMonitor over a live stream -----------------------
+// --- Online fan-in: an OnlineMonitor handed the fleet, over a live stream -
 
 TEST(FleetOnline, StreamedIncidentMatchesGolden) {
   // Offline pass for the dependency graph + expected tv (discovery is
@@ -326,9 +326,10 @@ TEST(FleetOnline, StreamedIncidentMatchesGolden) {
   back.addComponent(2, 0);
   back.addComponent(3, 0);
 
-  FleetMonitorConfig monitor_config;
-  monitor_config.shards = 4;
-  FleetMonitor monitor(monitor_config);
+  FleetConfig fleet_config;
+  fleet_config.shards = 4;
+  FleetMaster fleet(fleet_config);
+  online::OnlineMonitor monitor({}, fleet);
   monitor.addSlave(&front);
   monitor.addSlave(&back);
   monitor.setDependencies(deps);
@@ -354,6 +355,11 @@ TEST(FleetOnline, StreamedIncidentMatchesGolden) {
   EXPECT_EQ(incident.violation_time, tv);
   EXPECT_EQ(core::renderPinpoint(incident.result, incident.violation_time),
             readGolden("single_fault"));
+  // The monitor's instruments land in the fleet's registry, next to the one
+  // fleet localization the incident ran.
+  const obs::MetricsSnapshot snap = fleet.metrics().snapshot();
+  EXPECT_EQ(snap.counters.at("online.triggers"), 1u);
+  EXPECT_EQ(snap.counters.at("fleet.localizations"), 1u);
 }
 
 }  // namespace

@@ -24,8 +24,8 @@
 
 #include "fchain/fchain.h"
 #include "fleet/fleet.h"
-#include "fleet/monitor.h"
 #include "netdep/dependency.h"
+#include "online/monitor.h"
 #include "pinpoint_render.h"
 #include "sim/mesh.h"
 #include "sim/simulator.h"
@@ -222,9 +222,10 @@ void expectOnlineMatchesGolden(const sim::ScenarioConfig& config,
     (id < ids.size() / 2 ? front : back).addComponent(id, 0);
   }
 
-  FleetMonitorConfig monitor_config;
-  monitor_config.shards = 4;
-  FleetMonitor monitor(monitor_config);
+  FleetConfig fleet_config;
+  fleet_config.shards = 4;
+  FleetMaster fleet(fleet_config);
+  online::OnlineMonitor monitor({}, fleet);
   monitor.addSlave(&front);
   monitor.addSlave(&back);
   monitor.setDependencies(deps);

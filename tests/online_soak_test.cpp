@@ -197,15 +197,15 @@ TEST(OnlineSoak, MultiAppHoursLongRunLocalizesEveryIncidentBitIdentically) {
   std::filesystem::remove_all(state_dir);
   std::filesystem::create_directories(state_dir);
 
+  const core::FChainConfig fchain;  // slaves, master and offline replay
   OnlineMonitorConfig cfg;
   cfg.cooldown_sec = 600;
-  cfg.worker_threads = 2;
   cfg.ingest_deadline_ms = 1000.0;
 
   std::vector<std::unique_ptr<core::FChainSlave>> slaves;
   for (std::size_t a = 0; a < apps.size(); ++a) {
     slaves.push_back(std::make_unique<core::FChainSlave>(
-        static_cast<HostId>(a), cfg.fchain));
+        static_cast<HostId>(a), fchain));
     for (ComponentId id : sources[a]->componentIds()) {
       slaves.back()->addComponent(id, /*start_time=*/0);
     }
@@ -215,19 +215,22 @@ TEST(OnlineSoak, MultiAppHoursLongRunLocalizesEveryIncidentBitIdentically) {
   core::SlaveCheckpointer checkpointer(*slaves[0], state_dir,
                                        checkpoint_policy);
 
-  OnlineMonitor monitor(cfg);
+  persist::IncidentJournal journal(state_dir + "/incidents.journal");
+  core::FChainMaster master(fchain);
+  master.setWorkerThreads(2);
+  runtime::WatchdogConfig watchdog;  // supervision on, generous: never trips
+  watchdog.call_timeout_ms = 60'000;
+  watchdog.localize_deadline_ms = 300'000;
+  master.setWatchdog(watchdog);
+  master.setIncidentJournal(&journal);
+
+  OnlineMonitor monitor(cfg, master);
   monitor.addEndpoint(std::make_shared<CheckpointedEndpoint>(slaves[0].get(),
                                                              &checkpointer),
                       sources[0]->componentIds());
   for (std::size_t a = 1; a < apps.size(); ++a) {
     monitor.addSlave(slaves[a].get());
   }
-  runtime::WatchdogConfig watchdog;  // supervision on, generous: never trips
-  watchdog.call_timeout_ms = 60'000;
-  watchdog.localize_deadline_ms = 300'000;
-  monitor.setWatchdog(watchdog);
-  persist::IncidentJournal journal(state_dir + "/incidents.journal");
-  monitor.setIncidentJournal(&journal);
 
   std::vector<std::size_t> app_index;
   for (std::size_t a = 0; a < apps.size(); ++a) {
@@ -296,7 +299,7 @@ TEST(OnlineSoak, MultiAppHoursLongRunLocalizesEveryIncidentBitIdentically) {
     const SoakApp& app = apps[c.incident.app];
     const core::PinpointResult offline = replayLocalize(
         c.record, c.incident.violation_time, &refs[c.incident.app].deps,
-        cfg.fchain);
+        fchain);
     const core::PinpointResult online =
         shiftDown(c.incident.result, app.offset);
     EXPECT_EQ(core::renderPinpoint(online, c.incident.violation_time),
@@ -321,7 +324,7 @@ TEST(OnlineSoak, MultiAppHoursLongRunLocalizesEveryIncidentBitIdentically) {
       << "an incident was journaled as started but never marked done";
   EXPECT_GT(checkpointer.epoch(), 0u);
   const auto recovered =
-      core::SlaveCheckpointer::recover(state_dir, 0, cfg.fchain);
+      core::SlaveCheckpointer::recover(state_dir, 0, fchain);
   for (ComponentId id : sources[0]->componentIds()) {
     ASSERT_NE(recovered.slave.seriesOf(id), nullptr);
     ASSERT_NE(slaves[0]->seriesOf(id), nullptr);

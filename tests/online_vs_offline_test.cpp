@@ -106,20 +106,20 @@ OnlineRun runOnline(const sim::ScenarioConfig& config,
   back.addComponent(2, 0);
   back.addComponent(3, 0);
 
-  OnlineMonitorConfig monitor_config;
-  monitor_config.worker_threads = worker_threads;
-  OnlineMonitor monitor(monitor_config);
-  monitor.addSlave(&front);
-  monitor.addSlave(&back);
-  monitor.setDependencies(deps);
+  core::FChainMaster master;
+  master.setWorkerThreads(worker_threads);
   if (worker_threads > 0) {
-    // Exercise the PR-4 supervision path too: a generous watchdog must not
+    // Exercise the supervision path too: a generous watchdog must not
     // perturb the result (nothing trips, nothing is sacrificed).
     runtime::WatchdogConfig watchdog;
     watchdog.call_timeout_ms = 60'000;
     watchdog.localize_deadline_ms = 300'000;
-    monitor.setWatchdog(watchdog);
+    master.setWatchdog(watchdog);
   }
+  OnlineMonitor monitor({}, master);
+  monitor.addSlave(&front);
+  monitor.addSlave(&back);
+  monitor.setDependencies(deps);
 
   AppSpec app;
   app.name = "rubis";
