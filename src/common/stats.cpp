@@ -29,19 +29,25 @@ double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
 
 namespace {
 
-/// Shared rank/interpolation logic over an already-sorted buffer.
-double percentileSorted(std::span<const double> sorted, double p) {
-  if (sorted.size() == 1) return sorted[0];
+/// Linear-interpolated percentile by selection. Only two order statistics
+/// are read: nth_element places rank lo, and when the rank interpolates,
+/// rank lo + 1 is the smallest element after it. Same values and the same
+/// arithmetic as indexing a fully sorted buffer, without the full sort.
+double selectPercentile(std::span<double> xs, double p) {
+  if (xs.size() == 1) return xs[0];
   const double rank =
-      std::clamp(p, 0.0, 100.0) / 100.0 * static_cast<double>(sorted.size() - 1);
+      std::clamp(p, 0.0, 100.0) / 100.0 * static_cast<double>(xs.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = rank - static_cast<double>(lo);
+  const auto lo_it = xs.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(xs.begin(), lo_it, xs.end());
   // frac == 0 covers both exact ranks and the p = 100 endpoint (rank lands
-  // on the last element). Returning sorted[lo] directly keeps the result
+  // on the last element). Returning the element directly keeps the result
   // exact and avoids `inf * 0 = NaN` when an extreme element is infinite.
-  if (frac == 0.0) return sorted[lo];
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  if (frac == 0.0) return *lo_it;
+  // frac > 0 implies lo < size - 1, so the tail after lo is non-empty.
+  const double next = *std::min_element(lo_it + 1, xs.end());
+  return *lo_it * (1.0 - frac) + next * frac;
 }
 
 void checkPercentileArgs(bool empty, double p) {
@@ -53,15 +59,13 @@ void checkPercentileArgs(bool empty, double p) {
 
 double percentile(std::span<const double> xs, double p) {
   checkPercentileArgs(xs.empty(), p);
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  return percentileSorted(sorted, p);
+  std::vector<double> work(xs.begin(), xs.end());
+  return selectPercentile(work, p);
 }
 
 double percentileInPlace(std::span<double> xs, double p) {
   checkPercentileArgs(xs.empty(), p);
-  std::sort(xs.begin(), xs.end());
-  return percentileSorted(xs, p);
+  return selectPercentile(xs, p);
 }
 
 double median(std::span<const double> xs) { return percentile(xs, 50.0); }

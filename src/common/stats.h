@@ -26,14 +26,16 @@ double stddev(std::span<const double> xs);
 /// threshold).
 double percentile(std::span<const double> xs, double p);
 
-/// percentile() over a caller-owned buffer that is sorted in place — the
-/// zero-allocation variant the signal hot path uses. The span's element
-/// order is clobbered.
+/// percentile() over a caller-owned buffer that is partially reordered in
+/// place by selection — the zero-allocation variant the signal hot path
+/// uses. The span keeps its multiset, but its element order is clobbered
+/// (it is not left sorted).
 double percentileInPlace(std::span<double> xs, double p);
 
 double median(std::span<const double> xs);
 
-/// median() over a caller-owned buffer, sorted in place (zero-allocation).
+/// median() over a caller-owned buffer, reordered in place like
+/// percentileInPlace() (zero-allocation).
 double medianInPlace(std::span<double> xs);
 
 /// Median absolute deviation (robust scale estimate).

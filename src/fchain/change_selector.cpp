@@ -103,12 +103,6 @@ std::optional<MetricFinding> AbnormalChangeSelector::analyzeMetric(
                                       scratch.outliers());
   if (outliers.empty()) return std::nullopt;
 
-  // Robust scale of the window (used by the Fixed-Filtering variant).
-  const double window_scale =
-      std::max(1e-9, fchain::medianAbsDeviation(raw, scratch.statsA(),
-                                                scratch.statsB()) *
-                         1.4826);
-
   // Historical-error floor: what the predictor typically gets wrong on this
   // metric during normal operation, sampled before the look-back window so
   // the fault cannot contaminate it. Two subtleties make this comparable to
@@ -143,6 +137,14 @@ std::optional<MetricFinding> AbnormalChangeSelector::analyzeMetric(
           std::max(config_.history_error_percentile, window_adjusted_pct));
     }
   }
+
+  // Robust scale of the window: only the Fixed-Filtering variant reads it.
+  const double window_scale =
+      config_.fixed_error_threshold >= 0.0
+          ? std::max(1e-9, fchain::medianAbsDeviation(raw, scratch.statsA(),
+                                                      scratch.statsB()) *
+                               1.4826)
+          : 0.0;
 
   // 3. Predictability test: observed vs expected prediction error. Among
   //    the passing candidates, anchor on the strongest signature (or the

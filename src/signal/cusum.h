@@ -13,12 +13,14 @@
 //   - PooledPermutations (default, the hot-path engine): resampling
 //     permutations are a pure function of (seed, rounds, segment length),
 //     served from SignalScratch's permutation pool and applied by gather —
-//     no per-round shuffle, no RNG in the loop, and the permutation-
-//     invariant segment mean is hoisted out of the rounds. Because segments
-//     no longer share RNG state, a segment whose significance is already
-//     decided aborts its remaining rounds early (the decision is provably
-//     unchanged), which is where most of the speedup on fault-free metrics
-//     comes from.
+//     no per-round shuffle, no RNG in the loop. The segment is mean-centred
+//     once into the scratch shuffle lane, and the rounds run eight per pass
+//     over it (four 2-wide vectors, one round per lane, each lane adding in
+//     a single round's order), so every range is bit-identical to running
+//     the rounds one at a time. Because segments no longer share RNG state,
+//     a segment whose significance is already decided aborts its remaining
+//     rounds early: the per-round test is replayed after each group, so the
+//     decision and every accepted confidence are unchanged.
 //   - ThreadedRng (the original engine): one RNG threaded through the whole
 //     segmentation recursion, Fisher-Yates shuffle per round. Kept
 //     bit-identical to the pre-scratch implementation (the identity test

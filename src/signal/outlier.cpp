@@ -17,9 +17,10 @@ std::vector<ChangePoint>& outlierChangePointsInto(
   }
 
   // The magnitudes are only consumed through their order statistics, so they
-  // go straight into the stats lanes: statsA is sorted for the median, then
-  // statsB holds |magnitude - median| for the MAD. Sorting first does not
-  // change either multiset, so this matches the allocating path bit for bit.
+  // go straight into the stats lanes: statsA is reordered by the median's
+  // selection, then statsB holds |magnitude - median| for the MAD.
+  // Reordering first does not change either multiset, so this matches the
+  // allocating path bit for bit.
   std::vector<double>& magnitudes = scratch.statsA();
   magnitudes.resize(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {

@@ -85,7 +85,9 @@ class SignalScratch {
   // Named double lanes, each returned resized to n (values unspecified).
   // Lane assignments — one producer at a time:
   //   smoothed   moving-average output / rollback input
-  //   shuffle    bootstrap resample buffer (legacy threaded-RNG mode)
+  //   shuffle    bootstrap buffer: the Fisher-Yates resample in threaded-
+  //              RNG mode; the mean-centred segment that the pooled
+  //              bootstrap's 8-round groups gather from
   //   burst      burst-signal magnitudes
   //   blockMax   history-error block maxima
   //   diffs      adaptive-smoothing first differences

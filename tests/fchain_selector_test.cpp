@@ -3,9 +3,11 @@
 // CUSUM -> outlier magnitude -> persistence -> predictability -> rollback.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.h"
+#include "common/stats.h"
 #include "fchain/change_selector.h"
 
 namespace fchain::core {
@@ -136,9 +138,16 @@ TEST(Selector, FixedThresholdModeRespectsTheKnob) {
   strict.fixed_error_threshold = 1000.0;
   const auto& cpu = fixture.series.of(MetricKind::CpuUsage);
   const auto& errors = fixture.model.errorsOf(MetricKind::CpuUsage);
-  EXPECT_TRUE(AbnormalChangeSelector(lax)
-                  .analyzeMetric(MetricKind::CpuUsage, cpu, errors, 899)
-                  .has_value());
+  const auto finding = AbnormalChangeSelector(lax).analyzeMetric(
+      MetricKind::CpuUsage, cpu, errors, 899);
+  ASSERT_TRUE(finding.has_value());
+  // The fixed threshold scales the robust spread of the look-back window
+  // the selector reads: [violation - lookback, violation + 1).
+  const auto window =
+      cpu.window(std::max(cpu.startTime(), 899 - lax.lookback_sec),
+                 std::min(cpu.endTime(), TimeSec{900}));
+  EXPECT_EQ(finding->expected_error,
+            0.5 * std::max(1e-9, 1.4826 * fchain::medianAbsDeviation(window)));
   EXPECT_FALSE(AbnormalChangeSelector(strict)
                    .analyzeMetric(MetricKind::CpuUsage, cpu, errors, 899)
                    .has_value());

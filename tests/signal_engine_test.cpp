@@ -161,68 +161,80 @@ TEST(EngineIdentity, PooledEarlyExitMatchesFullRoundOracle) {
   // The early exit must be invisible: same accept/reject decision as
   // running every bootstrap round, and the exact full-round confidence on
   // accepted segments. Oracle: recompute the top-level segment's decision
-  // from the same permutation pool with no early exit.
-  CusumConfig config;
-  config.max_change_points = 1;  // stop after the top-level decision
+  // from the same permutation pool, one round at a time with no early exit.
+  // The engine runs rounds in groups of eight, so the sweep covers round
+  // counts below, at and just past a group, plus a short last group; 129
+  // samples exceeds PermutationPool::kMaxPooledLength and takes the
+  // overflow block.
   SignalScratch scratch;
   std::size_t accepts = 0, rejects = 0;
-  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-    // Mix faulty and fault-free streams so both decisions occur.
-    std::vector<double> xs;
-    if (seed % 2 == 0) {
-      fchain::Rng rng(seed);
-      for (std::size_t i = 0; i < 60; ++i) {
-        xs.push_back(rng.gaussian(10.0, 3.0));
-      }
-    } else {
-      xs = faultyStream(seed, 60);
-    }
+  for (std::size_t rounds : {1u, 7u, 8u, 9u, 199u, 200u}) {
+    for (std::size_t length : {60u, 129u}) {
+      CusumConfig config;
+      config.bootstrap_rounds = rounds;
+      config.max_change_points = 1;  // stop after the top-level decision
+      for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "rounds=" << rounds
+                                          << " n=" << length
+                                          << " seed=" << seed);
+        // Mix faulty and fault-free streams so both decisions occur.
+        std::vector<double> xs;
+        if (seed % 2 == 0) {
+          fchain::Rng rng(seed);
+          for (std::size_t i = 0; i < length; ++i) {
+            xs.push_back(rng.gaussian(10.0, 3.0));
+          }
+        } else {
+          xs = faultyStream(seed, length);
+        }
 
-    // Full-round oracle over the whole series as one segment.
-    const double m = fchain::mean(xs);
-    double s = 0.0, lo = 0.0, hi = 0.0, best_abs = 0.0;
-    std::size_t peak = 0;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      s += xs[i] - m;
-      lo = std::min(lo, s);
-      hi = std::max(hi, s);
-      if (std::fabs(s) > best_abs) {
-        best_abs = std::fabs(s);
-        peak = i;
-      }
-    }
-    const double observed = hi - lo;
-    const auto perms =
-        scratch.permutations(config.seed, config.bootstrap_rounds, xs.size());
-    std::size_t below = 0;
-    for (std::size_t r = 0; r < config.bootstrap_rounds; ++r) {
-      const std::uint32_t* perm = perms.data() + r * xs.size();
-      double ps = 0.0, plo = 0.0, phi = 0.0;
-      for (std::size_t i = 0; i < xs.size(); ++i) {
-        ps += xs[perm[i]] - m;
-        plo = std::min(plo, ps);
-        phi = std::max(phi, ps);
-      }
-      if (phi - plo < observed) ++below;
-    }
-    const double full_confidence =
-        static_cast<double>(below) /
-        static_cast<double>(config.bootstrap_rounds);
-    const std::size_t split = peak + 1;
-    const bool split_legal = split >= config.min_segment &&
-                             xs.size() - split >= config.min_segment;
+        // Full-round oracle over the whole series as one segment.
+        const double m = fchain::mean(xs);
+        double s = 0.0, lo = 0.0, hi = 0.0, best_abs = 0.0;
+        std::size_t peak = 0;
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+          s += xs[i] - m;
+          lo = std::min(lo, s);
+          hi = std::max(hi, s);
+          if (std::fabs(s) > best_abs) {
+            best_abs = std::fabs(s);
+            peak = i;
+          }
+        }
+        const double observed = hi - lo;
+        const auto perms = scratch.permutations(
+            config.seed, config.bootstrap_rounds, xs.size());
+        std::size_t below = 0;
+        for (std::size_t r = 0; r < config.bootstrap_rounds; ++r) {
+          const std::uint32_t* perm = perms.data() + r * xs.size();
+          double ps = 0.0, plo = 0.0, phi = 0.0;
+          for (std::size_t i = 0; i < xs.size(); ++i) {
+            ps += xs[perm[i]] - m;
+            plo = std::min(plo, ps);
+            phi = std::max(phi, ps);
+          }
+          if (phi - plo < observed) ++below;
+        }
+        const double full_confidence =
+            static_cast<double>(below) /
+            static_cast<double>(config.bootstrap_rounds);
+        const std::size_t split = peak + 1;
+        const bool split_legal = split >= config.min_segment &&
+                                 xs.size() - split >= config.min_segment;
 
-    std::vector<ChangePoint> out;
-    detectChangePointsInto(xs, config, scratch, out);
-    if (full_confidence >= config.confidence && split_legal &&
-        observed > 0.0) {
-      ++accepts;
-      ASSERT_EQ(out.size(), 1u) << "seed=" << seed;
-      EXPECT_EQ(out[0].index, split);
-      EXPECT_EQ(out[0].confidence, full_confidence) << "seed=" << seed;
-    } else {
-      ++rejects;
-      EXPECT_TRUE(out.empty()) << "seed=" << seed;
+        std::vector<ChangePoint> out;
+        detectChangePointsInto(xs, config, scratch, out);
+        if (full_confidence >= config.confidence && split_legal &&
+            observed > 0.0) {
+          ++accepts;
+          ASSERT_EQ(out.size(), 1u);
+          EXPECT_EQ(out[0].index, split);
+          EXPECT_EQ(out[0].confidence, full_confidence);
+        } else {
+          ++rejects;
+          EXPECT_TRUE(out.empty());
+        }
+      }
     }
   }
   // The sweep must actually exercise both outcomes to prove anything.

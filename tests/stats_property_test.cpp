@@ -84,15 +84,57 @@ TEST(PercentileBoundary, TwoElementInterpolation) {
 }
 
 TEST(PercentileBoundary, InPlaceVariantMatchesAllocatingVariant) {
+  // Oracle: sort the whole buffer, then interpolate between the two ranks
+  // it straddles. Both variants find those ranks by selection and must
+  // match it bit for bit.
+  const auto sorted_oracle = [](std::vector<double> xs, double p) {
+    std::sort(xs.begin(), xs.end());
+    if (xs.size() == 1) return xs[0];
+    const double rank =
+        std::clamp(p, 0.0, 100.0) / 100.0 * static_cast<double>(xs.size() - 1);
+    const auto lo = static_cast<std::size_t>(rank);
+    const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+    const double frac = rank - static_cast<double>(lo);
+    if (frac == 0.0) return xs[lo];
+    return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+  };
+
+  std::vector<std::vector<double>> inputs;
   Rng rng(5);
-  std::vector<double> xs(37);
-  for (double& x : xs) x = rng.uniform(-50.0, 50.0);
-  for (double p = 0.0; p <= 100.0; p += 2.5) {
-    std::vector<double> buf = xs;
-    EXPECT_EQ(percentileInPlace(buf, p), percentile(xs, p)) << "p=" << p;
+  std::vector<double> uniform(37);
+  for (double& x : uniform) x = rng.uniform(-50.0, 50.0);
+  inputs.push_back(uniform);
+  // Shaped like the history error floor's input: block maxima of a 7-wide
+  // running max, so nearly every value repeats in a run of ties.
+  std::vector<double> errors(900);
+  for (double& e : errors) e = std::fabs(rng.gaussian(0.0, 2.0));
+  std::vector<double> block_max(errors.size());
+  for (std::size_t i = 0; i < errors.size(); ++i) {
+    const std::size_t lo = i >= 3 ? i - 3 : 0;
+    const std::size_t hi = std::min(errors.size() - 1, i + 3);
+    block_max[i] =
+        *std::max_element(errors.begin() + lo, errors.begin() + hi + 1);
   }
-  std::vector<double> buf = xs;
-  EXPECT_EQ(medianInPlace(buf), median(xs));
+  inputs.push_back(block_max);
+  inputs.push_back({4.25});
+  inputs.push_back({9.5, -1.75});
+
+  std::vector<double> ranks;
+  for (double p = 0.0; p <= 100.0; p += 2.5) ranks.push_back(p);
+  ranks.push_back(97.8);
+  ranks.push_back(98.0);
+
+  for (const auto& xs : inputs) {
+    SCOPED_TRACE(::testing::Message() << "n=" << xs.size());
+    for (double p : ranks) {
+      const double expected = sorted_oracle(xs, p);
+      std::vector<double> buf = xs;
+      EXPECT_EQ(percentileInPlace(buf, p), expected) << "p=" << p;
+      EXPECT_EQ(percentile(xs, p), expected) << "p=" << p;
+    }
+    std::vector<double> buf = xs;
+    EXPECT_EQ(medianInPlace(buf), median(xs));
+  }
 }
 
 TEST(PercentileBoundary, BufferedMadMatchesAllocatingMad) {
