@@ -2,7 +2,8 @@
 //
 // Spawns N fchain_slave daemons (fork/exec, unix-domain sockets, per-slave
 // checkpoint directories), streams the canonical RUBiS CpuHog incident to
-// them over the real wire protocol, restarts any daemon that dies, and
+// them over the real wire protocol (one ingest batch per slave per tick, as
+// the online monitor sends them), restarts any daemon that dies, and
 // localizes the incident through SocketEndpoints. The verdict is compared
 // field-for-field (doubles included) against an in-process reference run
 // over LocalEndpoints: the socket transport must be invisible in the result.
@@ -39,6 +40,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -371,10 +373,12 @@ int main(int argc, char** argv) {
   }
 
   // --- Stream the incident over the wire ----------------------------------
-  // Fire-and-forget semantics with a supervisor twist: a failed push is
-  // retried (the sample is re-sent after reconnect; the slave's duplicate
-  // path makes that value-safe) so the drill cannot silently starve the
-  // killed slave's models.
+  // One IngestRequest per slave per tick, the batch the online monitor
+  // sends. Fire-and-forget semantics with a supervisor twist: a failed batch
+  // is retried whole (re-sent after reconnect; whatever part of it the slave
+  // had journaled before dying is replayed on restart, and the re-sent
+  // copies hit the duplicate path, which makes that value-safe) so the drill
+  // cannot silently starve the killed slave's models.
   const std::size_t drill_at = samples.size() / 2;
   bool drill_fired = false;
   for (std::size_t t = 0; t < samples.size(); ++t) {
@@ -385,24 +389,34 @@ int main(int argc, char** argv) {
       kill(victim.pid, SIGKILL);
       drill_fired = true;
     }
+    std::vector<std::optional<runtime::IngestRequest>> batches(
+        static_cast<std::size_t>(opt.slaves));
     for (ComponentId id = 0; id < kComponents; ++id) {
-      runtime::IngestRequest request;
-      request.component = id;
-      request.t = static_cast<TimeSec>(t);
-      request.sample = samples[t][id];
-      auto& endpoint = endpoints[static_cast<std::size_t>(owner[id])];
+      std::optional<runtime::IngestRequest>& batch =
+          batches[static_cast<std::size_t>(owner[id])];
+      if (batch.has_value()) {
+        batch->more.push_back({id, static_cast<TimeSec>(t), samples[t][id]});
+        continue;
+      }
+      batch.emplace();
+      batch->component = id;
+      batch->t = static_cast<TimeSec>(t);
+      batch->sample = samples[t][id];
+    }
+    for (std::size_t i = 0; i < batches.size(); ++i) {
+      if (!batches[i].has_value()) continue;
       bool delivered = false;
       for (int attempt = 0; attempt < 200 && !delivered; ++attempt) {
-        delivered =
-            endpoint->ingest(request).status == runtime::EndpointStatus::Ok;
+        delivered = endpoints[i]->ingest(*batches[i]).status ==
+                    runtime::EndpointStatus::Ok;
         if (!delivered) {
           reapAndRestart(slaves);
           std::this_thread::sleep_for(std::chrono::milliseconds(50));
         }
       }
       if (!delivered) {
-        logf("launcher: sample t=%zu component=%u undeliverable; giving up",
-             t, id);
+        logf("launcher: tick t=%zu batch for host=%u undeliverable; giving up",
+             t, slaves[i].host);
         stopAll(slaves);
         return 1;
       }

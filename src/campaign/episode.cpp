@@ -49,7 +49,9 @@ class RestartableEndpoint final : public runtime::SlaveEndpoint {
 
   runtime::IngestReply ingest(const runtime::IngestRequest& req) override {
     if (!alive()) return {runtime::EndpointStatus::Unavailable, 0.0};
-    cell_->slave->ingestAt(req.component, req.t, req.sample);
+    req.forEachSample([this](const persist::SampleRecord& record) {
+      cell_->slave->ingestAt(record.component, record.t, record.sample);
+    });
     return {runtime::EndpointStatus::Ok, 0.0};
   }
 

@@ -97,14 +97,27 @@ void SlaveCheckpointer::checkpointNow() {
   last_checkpoint_end_ = sampleClock();
 }
 
+void SlaveCheckpointer::ingestBatch(
+    std::span<const persist::SampleRecord> batch) {
+  if (batch.empty()) return;
+  journal_->append(batch);
+  TimeSec latest = batch.front().t;
+  for (const persist::SampleRecord& record : batch) {
+    slave_.ingestAt(record.component, record.t, record.sample);
+    latest = std::max(latest, record.t);
+  }
+  // Only after the whole batch is applied: the checkpoint truncates the
+  // journal, so checking mid-batch would drop journaled, unapplied samples.
+  if (latest >= last_checkpoint_end_ + policy_.snapshot_interval_sec) {
+    checkpointNow();
+  }
+}
+
 void SlaveCheckpointer::ingestAt(
     ComponentId id, TimeSec t,
     const std::array<double, kMetricCount>& sample) {
-  journal_->append({id, t, sample});
-  slave_.ingestAt(id, t, sample);
-  if (t >= last_checkpoint_end_ + policy_.snapshot_interval_sec) {
-    checkpointNow();
-  }
+  const persist::SampleRecord record{id, t, sample};
+  ingestBatch(std::span<const persist::SampleRecord>(&record, 1));
 }
 
 void SlaveCheckpointer::ingest(

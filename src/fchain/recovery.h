@@ -11,9 +11,13 @@
 // bit-identical to one that never crashed.
 //
 // The crash-ordering invariants:
-//   - journal-then-ingest: a sample is durable before it mutates state, so
-//     a crash can lose at most the sample being written (torn tail), never
-//     a sample the models already consumed;
+//   - journal-then-ingest, per batch: a batch of samples is written and
+//     flushed with one journal append before any of it mutates state, and
+//     the auto-checkpoint rule runs only after the whole batch is applied
+//     (a checkpoint between the two would truncate journaled samples the
+//     models have not consumed). A crash can lose at most the batch being
+//     written — the one whose ingest RPC was not acknowledged — never a
+//     sample the models already consumed;
 //   - snapshot-then-truncate: checkpointNow() renames the new snapshot into
 //     place before truncating the journal. A crash between the two leaves a
 //     journal whose records are already inside the snapshot — replaying
@@ -22,6 +26,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 
 #include "fchain/master.h"
@@ -57,8 +62,12 @@ class SlaveCheckpointer {
   SlaveCheckpointer(FChainSlave& slave, std::string dir,
                     CheckpointPolicy policy = {});
 
-  /// Journals the raw sample, then feeds it to the slave (see the ordering
-  /// invariants above). Auto-checkpoints per CheckpointPolicy.
+  /// Journals the batch with one write and one flush, feeds its samples to
+  /// the slave in order, then auto-checkpoints per CheckpointPolicy against
+  /// the batch's latest timestamp (see the ordering invariants above).
+  void ingestBatch(std::span<const persist::SampleRecord> batch);
+
+  /// The one-sample batch.
   void ingestAt(ComponentId id, TimeSec t,
                 const std::array<double, kMetricCount>& sample);
 

@@ -158,10 +158,16 @@ bool SlaveService::handleFrame(const std::vector<std::uint8_t>& frame) {
   }
   if (const auto* request = std::get_if<runtime::IngestRequest>(&message)) {
     if (checkpointer_ != nullptr) {
-      checkpointer_->ingestAt(request->component, request->t,
-                              request->sample);
+      std::vector<persist::SampleRecord> batch;
+      batch.reserve(request->more.size() + 1);
+      request->forEachSample([&batch](const persist::SampleRecord& record) {
+        batch.push_back(record);
+      });
+      checkpointer_->ingestBatch(batch);
     } else {
-      slave_.ingestAt(request->component, request->t, request->sample);
+      request->forEachSample([this](const persist::SampleRecord& record) {
+        slave_.ingestAt(record.component, record.t, record.sample);
+      });
     }
     runtime::IngestReply out;
     out.status = runtime::EndpointStatus::Ok;

@@ -9,9 +9,11 @@
 //                           identity hash, component claims}
 //   AnalyzeBatchRequest  -> FChainSlave::analyzeBatch (after the optional
 //                           crash-drill delay, see analyze_delay_ms)
-//   IngestRequest        -> SlaveCheckpointer::ingestAt when checkpointing
-//                           (journal-then-ingest: the sample is durable
-//                           before the reply goes out), else the raw slave
+//   IngestRequest        -> the whole batch, in order: through
+//                           SlaveCheckpointer::ingestBatch when
+//                           checkpointing (journal-then-ingest: one journal
+//                           write and flush makes the batch durable before
+//                           the reply goes out), else into the raw slave
 //   ListComponentsRequest-> the slave's component list
 //   Shutdown             -> stops the serve loop
 //
@@ -59,7 +61,8 @@ class SlaveService {
  public:
   /// The slave (and checkpointer, when given) must outlive the service.
   /// When `checkpointer` is non-null every ingest RPC goes through it, so
-  /// a kill -9 at any moment loses at most the in-flight sample. Throws
+  /// a kill -9 at any moment loses at most the in-flight batch, which was
+  /// never acknowledged. Throws
   /// std::runtime_error when the listen address cannot be bound.
   SlaveService(FChainSlave& slave, SlaveServiceConfig config,
                SlaveCheckpointer* checkpointer = nullptr);

@@ -1,18 +1,21 @@
 // In-process endpoint whose ingest path is crash-durable.
 //
 // LocalEndpoint (runtime/endpoint.h) feeds samples straight into the slave;
-// this variant routes them through a core::SlaveCheckpointer first, so every
-// streamed second is journaled before it mutates the slave's models
-// (journal-then-ingest, see fchain/recovery.h) and the slave auto-checkpoints
-// on the checkpointer's sample-time cadence. Analysis RPCs go straight to
-// the slave — they read state, so they need no durability hop. Plugging this
-// into OnlineMonitor::addEndpoint gives an online deployment whose slaves
-// survive a crash with zero learned-history loss: recover() rebuilds them
-// bit-identically and streaming resumes where it stopped.
+// this variant routes each batch through a core::SlaveCheckpointer first, so
+// every streamed second is journaled before it mutates the slave's models
+// (journal-then-ingest per batch, see fchain/recovery.h) and the slave
+// auto-checkpoints on the checkpointer's sample-time cadence. Analysis RPCs
+// go straight to the slave — they read state, so they need no durability
+// hop. Plugging this into OnlineMonitor::addEndpoint gives an online
+// deployment whose slaves survive a crash with zero learned-history loss:
+// recover() rebuilds them bit-identically and streaming resumes where it
+// stopped.
 //
 // Header-only for the same layering reason as LocalEndpoint: it touches
 // fchain_core types, and the link-level dependency points the other way.
 #pragma once
+
+#include <vector>
 
 #include "fchain/recovery.h"
 #include "runtime/endpoint.h"
@@ -43,7 +46,12 @@ class CheckpointedEndpoint final : public runtime::SlaveEndpoint {
   }
 
   runtime::IngestReply ingest(const runtime::IngestRequest& request) override {
-    checkpointer_->ingestAt(request.component, request.t, request.sample);
+    std::vector<persist::SampleRecord> batch;
+    batch.reserve(request.more.size() + 1);
+    request.forEachSample([&batch](const persist::SampleRecord& record) {
+      batch.push_back(record);
+    });
+    checkpointer_->ingestBatch(batch);
     return {runtime::EndpointStatus::Ok, 0.0};
   }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/trace.h"
 
@@ -26,7 +27,10 @@ void OnlineMonitor::addEndpoint(
     std::shared_ptr<runtime::SlaveEndpoint> endpoint,
     const std::vector<ComponentId>& components) {
   localizer_.registerEndpoint(endpoint, components);  // throws on dup claims
-  for (ComponentId id : components) ingest_routes_[id] = endpoint;
+  PendingIngest& batch = batches_.emplace_back();
+  batch.endpoint = std::move(endpoint);
+  batch.request.deadline_ms = config_.ingest_deadline_ms;
+  for (ComponentId id : components) ingest_routes_[id] = &batch;
 }
 
 std::size_t OnlineMonitor::addApplication(AppSpec spec) {
@@ -58,19 +62,34 @@ void OnlineMonitor::ingest(ComponentId id, TimeSec t,
     metric_ingest_failures_.add();
     return;
   }
+  if (buffered_tick_.has_value() && *buffered_tick_ != t) flush();
+  buffered_tick_ = t;
   metric_ingest_samples_.add();
 
-  runtime::IngestRequest request;
-  request.component = id;
-  request.t = t;
-  request.sample = sample;
-  request.deadline_ms = config_.ingest_deadline_ms;
-  // Fire-and-forget: no retries (header contract). The slave's gap-fill
-  // repairs a lost second on the next arrival.
-  const runtime::IngestReply reply = route->second->ingest(request);
-  if (reply.status != runtime::EndpointStatus::Ok) {
-    metric_ingest_failures_.add();
+  PendingIngest& batch = *route->second;
+  if (batch.samples++ == 0) {
+    batch.request.component = id;
+    batch.request.t = t;
+    batch.request.sample = sample;
+    batch.request.more.clear();  // keeps its capacity for the next tick
+  } else {
+    batch.request.more.push_back({id, t, sample});
   }
+}
+
+void OnlineMonitor::flush() {
+  if (!buffered_tick_.has_value()) return;
+  for (PendingIngest& batch : batches_) {
+    const std::size_t samples = std::exchange(batch.samples, 0);
+    if (samples == 0) continue;
+    // Fire-and-forget: no retries (header contract). The slave's gap-fill
+    // repairs a lost second on the next arrival.
+    const runtime::IngestReply reply = batch.endpoint->ingest(batch.request);
+    if (reply.status != runtime::EndpointStatus::Ok) {
+      metric_ingest_failures_.add(samples);
+    }
+  }
+  buffered_tick_.reset();
 }
 
 bool OnlineMonitor::updateRearm(AppState& state, double good_signal) {
@@ -100,6 +119,7 @@ bool OnlineMonitor::updateRearm(AppState& state, double good_signal) {
 
 bool OnlineMonitor::observeLatency(std::size_t app, TimeSec t,
                                    double latency_sec) {
+  flush();
   AppState& state = apps_.at(app);
   clock_ = std::max(clock_, t);
   if (updateRearm(state, latency_sec)) return false;
@@ -110,6 +130,7 @@ bool OnlineMonitor::observeLatency(std::size_t app, TimeSec t,
 
 bool OnlineMonitor::observeProgress(std::size_t app, TimeSec t,
                                     double progress) {
+  flush();
   AppState& state = apps_.at(app);
   clock_ = std::max(clock_, t);
   if (updateRearm(state, progress)) return false;
@@ -183,6 +204,7 @@ void OnlineMonitor::fire(std::size_t app, TimeSec tv) {
 }
 
 std::size_t OnlineMonitor::pump() {
+  flush();
   std::size_t fired = 0;
   while (!pending_.empty() && cooldownExpired()) {
     const PendingTrigger next = pending_.front();
@@ -194,6 +216,7 @@ std::size_t OnlineMonitor::pump() {
 }
 
 std::size_t OnlineMonitor::drain() {
+  flush();
   std::size_t fired = 0;
   while (!pending_.empty()) {
     const PendingTrigger next = pending_.front();

@@ -8,7 +8,10 @@
 // *triggered by* the violation, not requested by an operator. OnlineMonitor
 // closes that loop:
 //
-//   StreamingSource ──samples──▶ ingest() ──route──▶ SlaveEndpoint::ingest RPC
+//   StreamingSource ──samples──▶ ingest() ──route──▶ per-slave batch of tick t
+//                                                          │ flush: one
+//                                                          ▼ IngestRequest
+//                                              SlaveEndpoint::ingest RPC
 //                  ──SLO signal─▶ observe*() ──latch──▶ localizer.localize
 //
 // Triggering semantics (all in deterministic *sample* time, never wall
@@ -42,9 +45,17 @@
 // the analysis RPCs and serve the monitor's streaming ingest RPC
 // (runtime::IngestRequest). The monitor keeps no telemetry of its own: the
 // slaves hold the metric streams and the localizer only ever sees their
-// findings. Ingest is fire-and-forget: a lost sample is repaired by the
+// findings. Ingest is fire-and-forget: a lost batch is repaired by the
 // slave's gap-fill on the next arrival, so there is no retry path to storm
 // a degraded slave with.
+//
+// Ingest is batched per slave per tick: ingest() buffers the sample in its
+// slave's pending request, and a flush sends each slave's request as one
+// RPC, in registration order. A flush runs at the start of every
+// observe*(), pump() and drain(), and when ingest() sees a tick other than
+// the buffered one. Every localization runs from observe*()/pump()/drain(),
+// so it sees every sample ingested before that call, exactly as if each
+// sample had been sent on its own.
 //
 // The driver loop contract, per simulated second:
 //   1. ingest() every component's sample for tick t;
@@ -52,6 +63,9 @@
 //   3. pump() once, so queued incidents fire on tick boundaries only —
 //      every registered slave then holds *complete* data through t when a
 //      late incident fans out.
+// A sample reaches its slave by the next observe*()/pump()/drain(), or by
+// the first sample of a later tick, whichever comes first. A caller that
+// reads a slave directly must pump() first.
 #pragma once
 
 #include <array>
@@ -60,6 +74,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -173,26 +188,29 @@ class OnlineMonitor {
 
   // --- Streaming ---------------------------------------------------------
 
-  /// Feeds one component-second to the owning slave. Advances the monitor's
-  /// sample clock.
+  /// Buffers one component-second for the owning slave (see the header
+  /// comment for when it is sent). Advances the monitor's sample clock.
   void ingest(ComponentId id, TimeSec t,
               const std::array<double, kMetricCount>& sample);
   void ingest(const sim::StreamSample& sample) {
     ingest(sample.component, sample.t, sample.values);
   }
 
-  /// Feeds one application's SLO signal for one tick; returns true when an
-  /// incident fired synchronously (latch with no active cooldown).
+  /// Sends the buffered samples, then feeds one application's SLO signal
+  /// for one tick; returns true when an incident fired synchronously (latch
+  /// with no active cooldown).
   bool observeLatency(std::size_t app, TimeSec t, double latency_sec);
   bool observeProgress(std::size_t app, TimeSec t, double progress);
   /// Dispatches on the app's SloSpec::Kind from a StreamTick.
   bool observe(std::size_t app, const sim::StreamTick& tick);
 
-  /// Fires queued incidents whose cooldown has expired (call once per tick,
-  /// after every ingest/observe of that tick). Returns the number fired.
+  /// Sends the buffered samples, then fires queued incidents whose cooldown
+  /// has expired (call once per tick, after every ingest/observe of that
+  /// tick). Returns the number fired.
   std::size_t pump();
 
-  /// Flushes the queue regardless of cooldown (end-of-stream drain).
+  /// Sends the buffered samples, then fires the queue regardless of
+  /// cooldown (end-of-stream drain).
   std::size_t drain();
 
   // --- Results / introspection -------------------------------------------
@@ -213,7 +231,9 @@ class OnlineMonitor {
 
   /// The localizer's registry, extended with the monitor's own instruments:
   ///   online.ingest_samples    (counter: samples routed to a slave)
-  ///   online.ingest_failures   (counter: ingest RPCs lost / unroutable)
+  ///   online.ingest_failures   (counter: samples unroutable, or in an
+  ///                             ingest RPC that failed — a failed batch
+  ///                             adds its sample count)
   ///   online.slo_latches       (counter: SLO violations latched)
   ///   online.triggers          (counter: localizations auto-triggered)
   ///   online.incidents_queued  (counter: latches deferred by a cooldown)
@@ -260,9 +280,23 @@ class OnlineMonitor {
   /// The default-built monitor's own master (null when handed a localizer).
   std::unique_ptr<core::FChainMaster> owned_master_;
   core::LocalizationTier& localizer_;
+  /// One registered slave and its samples of the buffered tick.
+  struct PendingIngest {
+    std::shared_ptr<runtime::SlaveEndpoint> endpoint;
+    runtime::IngestRequest request;  ///< valid when samples > 0
+    std::size_t samples = 0;
+  };
+
+  /// Sends every slave's buffered samples as one IngestRequest per slave,
+  /// in registration order, and empties the buffer.
+  void flush();
+
+  /// Registered slaves in registration order (a deque: routes point in).
+  std::deque<PendingIngest> batches_;
   /// Owning slave of each component; a miss is an unroutable sample.
-  std::map<ComponentId, std::shared_ptr<runtime::SlaveEndpoint>>
-      ingest_routes_;
+  std::map<ComponentId, PendingIngest*> ingest_routes_;
+  /// The tick of the buffered samples; nullopt when nothing is buffered.
+  std::optional<TimeSec> buffered_tick_;
 
   std::vector<AppState> apps_;
   netdep::DependencyGraph default_deps_;

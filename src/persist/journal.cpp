@@ -23,25 +23,33 @@ void writeHeader(std::ofstream& out, std::uint32_t magic,
 /// Record header: u32 payload length | u32 payload crc.
 constexpr std::size_t kRecordHeaderSize = 4 + 4;
 
-/// Starts a record in one buffer, like beginFrame: a blank record header
-/// with room for `payload_capacity` bytes behind it.
-Encoder beginRecord(std::size_t payload_capacity) {
-  Encoder record;
-  record.reserve(kRecordHeaderSize + payload_capacity);
-  record.skip(kRecordHeaderSize);
-  return record;
+/// Sample record payload: u32 component | i64 t | the metric doubles.
+constexpr std::size_t kSamplePayloadSize = 4 + 8 + 8 * kMetricCount;
+
+/// Starts a record at the end of `records`, like beginFrame: appends a
+/// blank record header and returns its offset. Encode the payload behind
+/// it, then sealRecord.
+std::size_t beginRecord(Encoder& records) {
+  const std::size_t header = records.size();
+  records.skip(kRecordHeaderSize);
+  return header;
 }
 
-/// Patches the header of a beginRecord Encoder, then writes and flushes it.
-void writeRecord(std::ofstream& out, Encoder& record) {
+/// Patches the length and CRC of the last record, whose header is at
+/// `header`.
+void sealRecord(Encoder& records, std::size_t header) {
   const std::span<const std::uint8_t> payload =
-      record.bytesFrom(kRecordHeaderSize);
+      records.bytesFrom(header + kRecordHeaderSize);
   const auto length = static_cast<std::uint32_t>(payload.size());
   const std::uint32_t checksum = crc32(payload);
-  record.patchU32(0, length);
-  record.patchU32(4, checksum);
-  out.write(reinterpret_cast<const char*>(record.buffer().data()),
-            static_cast<std::streamsize>(record.size()));
+  records.patchU32(header, length);
+  records.patchU32(header + 4, checksum);
+}
+
+/// Writes sealed records with one write and one flush.
+void writeRecords(std::ofstream& out, const Encoder& records) {
+  out.write(reinterpret_cast<const char*>(records.buffer().data()),
+            static_cast<std::streamsize>(records.size()));
   out.flush();
 }
 
@@ -123,16 +131,22 @@ SampleJournalWriter::SampleJournalWriter(std::string path, std::uint64_t epoch,
   }
 }
 
-void SampleJournalWriter::append(const SampleRecord& record) {
-  Encoder framed = beginRecord(4 + 8 + 8 * record.sample.size());
-  framed.u32(record.component);
-  framed.i64(record.t);
-  for (double v : record.sample) framed.f64(v);
-  writeRecord(out_, framed);
+void SampleJournalWriter::append(std::span<const SampleRecord> records) {
+  if (records.empty()) return;
+  Encoder framed;
+  framed.reserve(records.size() * (kRecordHeaderSize + kSamplePayloadSize));
+  for (const SampleRecord& record : records) {
+    const std::size_t header = beginRecord(framed);
+    framed.u32(record.component);
+    framed.i64(record.t);
+    for (double v : record.sample) framed.f64(v);
+    sealRecord(framed, header);
+  }
+  writeRecords(out_, framed);
   if (!out_) {
     throw std::runtime_error("write failure on sample journal: " + path_);
   }
-  ++records_;
+  records_ += records.size();
 }
 
 SampleJournalReplay readSampleJournal(const std::string& path) {
@@ -238,13 +252,16 @@ std::uint64_t IncidentJournal::logStart(
     const std::vector<ComponentId>& components, TimeSec violation_time) {
   const std::lock_guard<std::mutex> lock(mu_);
   const std::uint64_t id = next_id_++;
-  Encoder framed = beginRecord(1 + 8 + 8 + 8 + 4 * components.size());
+  Encoder framed;
+  framed.reserve(kRecordHeaderSize + 1 + 8 + 8 + 8 + 4 * components.size());
+  const std::size_t header = beginRecord(framed);
   framed.u8(kIncidentStart);
   framed.u64(id);
   framed.i64(violation_time);
   framed.u64(components.size());
   for (ComponentId component : components) framed.u32(component);
-  writeRecord(out_, framed);
+  sealRecord(framed, header);
+  writeRecords(out_, framed);
   if (!out_) {
     throw std::runtime_error("write failure on incident journal: " + path_);
   }
@@ -253,10 +270,13 @@ std::uint64_t IncidentJournal::logStart(
 
 void IncidentJournal::logDone(std::uint64_t id) {
   const std::lock_guard<std::mutex> lock(mu_);
-  Encoder framed = beginRecord(1 + 8);
+  Encoder framed;
+  framed.reserve(kRecordHeaderSize + 1 + 8);
+  const std::size_t header = beginRecord(framed);
   framed.u8(kIncidentDone);
   framed.u64(id);
-  writeRecord(out_, framed);
+  sealRecord(framed, header);
+  writeRecords(out_, framed);
   if (!out_) {
     throw std::runtime_error("write failure on incident journal: " + path_);
   }

@@ -10,11 +10,13 @@
 // the whole file is untrustworthy and both read and reopen throw
 // CorruptDataError with the byte offset.
 //
-// Durability scope: append() flushes each record to the OS, so a record
-// survives the *process* dying; fsync-per-record would dominate ingest cost,
-// so power loss or a kernel crash may still drop the tail — which replay
-// then treats exactly like a torn record. Snapshots (see codec.h
-// writeFileAtomic) are fsync'd and survive power loss once written.
+// Durability scope: append() flushes each batch of records to the OS — one
+// write and one flush per batch, however many records it holds — so a
+// record survives the *process* dying once its append returns; fsync per
+// batch would dominate ingest cost, so power loss or a kernel crash may
+// still drop the tail — which replay then treats exactly like a torn
+// record. Snapshots (see codec.h writeFileAtomic) are fsync'd and survive
+// power loss once written.
 //
 // The sample journal records the raw samples a slave ingested since its last
 // snapshot. Recovery = restore the snapshot, then replay the journal through
@@ -32,6 +34,7 @@
 #include <cstdint>
 #include <fstream>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,9 +67,15 @@ class SampleJournalWriter {
   /// generation this journal follows.
   SampleJournalWriter(std::string path, std::uint64_t epoch, bool truncate);
 
-  /// Appends one record and flushes (the journal is the crash-safety net;
-  /// an unflushed record is a lost record).
-  void append(const SampleRecord& record);
+  /// Appends a batch of records with one write and one flush (the journal
+  /// is the crash-safety net; an unflushed record is a lost record). The
+  /// bytes are those of one append per record, so replay cannot tell a
+  /// batch from single appends; a crash mid-write leaves a valid prefix of
+  /// the batch and at most one torn record.
+  void append(std::span<const SampleRecord> records);
+  void append(const SampleRecord& record) {
+    append(std::span<const SampleRecord>(&record, 1));
+  }
 
   std::size_t recordsWritten() const { return records_; }
   const std::string& path() const { return path_; }

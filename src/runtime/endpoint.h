@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "fchain/slave.h"
+#include "persist/journal.h"
 
 namespace fchain::runtime {
 
@@ -94,17 +95,32 @@ struct ComponentListReply {
   std::vector<ComponentId> components;
 };
 
-/// Streaming-ingest RPC (online monitoring runtime): one second of samples
-/// for one component, pushed master-side -> slave-side. Unlike the analysis
-/// RPCs this is fire-and-forget with no retries — a lost sample is repaired
-/// by the slave's gap-fill on the next arrival, and re-sending a stale
-/// second would only hit the duplicate path.
+/// Streaming-ingest RPC (online monitoring runtime): a batch of component
+/// seconds pushed master-side -> slave-side — the online monitor sends one
+/// per slave per tick. The first sample travels in `component`/`t`/`sample`
+/// and the rest in `more`; the slave applies them in that order. Leaves
+/// walk the batch through forEachSample(), never through the first-sample
+/// fields alone. Like analyzeBatch, the batch is one request: a drop,
+/// timeout or outage loses all of it, and the reply is one status. Unlike
+/// the analysis RPCs ingest is fire-and-forget with no retries — a lost
+/// second is repaired by the slave's gap-fill on the next arrival, and
+/// re-sending a stale second would only hit the duplicate path.
 struct IngestRequest {
   ComponentId component = kNoComponent;
   TimeSec t = 0;
   std::array<double, kMetricCount> sample{};
   /// Per-request deadline in (simulated) milliseconds; 0 disables it.
   double deadline_ms = 0.0;
+  /// The samples after the first, in application order.
+  std::vector<persist::SampleRecord> more;
+
+  /// Calls `visit(const persist::SampleRecord&)` on every sample of the
+  /// batch in application order, the first sample included.
+  template <typename Visit>
+  void forEachSample(Visit&& visit) const {
+    visit(persist::SampleRecord{component, t, sample});
+    for (const persist::SampleRecord& record : more) visit(record);
+  }
 };
 
 struct IngestReply {
@@ -148,9 +164,10 @@ class SlaveEndpoint {
     return reply;
   }
 
-  /// Pushes one second of samples to the slave (online monitoring runtime).
-  /// The default rejects the request so analysis-only transports predating
-  /// the streaming protocol stay valid implementations.
+  /// Pushes a batch of samples to the slave (online monitoring runtime);
+  /// one status covers the whole batch. The default rejects the request so
+  /// analysis-only transports predating the streaming protocol stay valid
+  /// implementations.
   virtual IngestReply ingest(const IngestRequest& request) {
     (void)request;
     return {EndpointStatus::Unavailable, 0.0};
@@ -179,7 +196,9 @@ class LocalEndpoint final : public SlaveEndpoint {
   }
 
   IngestReply ingest(const IngestRequest& request) override {
-    slave_->ingestAt(request.component, request.t, request.sample);
+    request.forEachSample([this](const persist::SampleRecord& record) {
+      slave_->ingestAt(record.component, record.t, record.sample);
+    });
     return {EndpointStatus::Ok, 0.0};
   }
 

@@ -68,8 +68,8 @@ AnalyzeBatchReply FlakyEndpoint::analyzeBatch(
 IngestReply FlakyEndpoint::ingest(const IngestRequest& request) {
   const std::uint64_t index = requests_++;
   double latency = 0.0;
-  // The sample's own timestamp is the transport's "now": outage windows
-  // swallow the seconds they cover.
+  // The batch's tick is the transport's "now": outage windows swallow the
+  // seconds they cover.
   const EndpointStatus status =
       roll(index, request.t, request.deadline_ms, &latency);
   if (status != EndpointStatus::Ok) return {status, 0.0};

@@ -50,8 +50,10 @@ class FlakyEndpoint final : public SlaveEndpoint {
   /// one FlakyEndpoint (the master's per-endpoint mutex does); the counter
   /// itself is not atomic.
   AnalyzeBatchReply analyzeBatch(const AnalyzeBatchRequest& request) override;
-  /// One fate roll per sample; outage windows match against the sample's own
-  /// timestamp (streaming has no violation_time yet).
+  /// One fate roll per batch, all-or-nothing like analyzeBatch: a failed
+  /// roll loses every sample in it. Outage windows match against the
+  /// batch's tick, its first sample's timestamp (streaming has no
+  /// violation_time yet).
   IngestReply ingest(const IngestRequest& request) override;
 
   /// Hard kill switch (e.g. driven by sim::TelemetryFaultInjector's slave

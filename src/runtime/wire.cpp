@@ -11,6 +11,10 @@ namespace {
 using persist::Decoder;
 using persist::Encoder;
 
+/// One batched ingest sample on the wire: u32 component | i64 t | the
+/// metric doubles.
+constexpr std::size_t kSampleRecordBytes = 4 + 8 + 8 * kMetricCount;
+
 /// Starts a message in one buffer: a blank frame header, then the type
 /// byte, with room for `body_capacity` body bytes behind them.
 Encoder beginMessage(MsgType type, std::size_t body_capacity = 0) {
@@ -143,6 +147,16 @@ Message decodeBody(MsgType type, Decoder& d) {
       msg.t = d.i64();
       msg.deadline_ms = d.f64();
       for (std::size_t i = 0; i < kMetricCount; ++i) msg.sample[i] = d.f64();
+      const std::uint64_t more = d.u64();
+      if (more > d.remaining() / kSampleRecordBytes) {
+        d.fail("ingest sample count exceeds remaining bytes");
+      }
+      msg.more.resize(static_cast<std::size_t>(more));
+      for (persist::SampleRecord& record : msg.more) {
+        record.component = d.u32();
+        record.t = d.i64();
+        for (double& v : record.sample) v = d.f64();
+      }
       return msg;
     }
     case MsgType::IngestReply: {
@@ -236,12 +250,19 @@ std::vector<std::uint8_t> encodeAnalyzeBatchReply(
 }
 
 std::vector<std::uint8_t> encodeIngestRequest(const IngestRequest& msg) {
-  Encoder body =
-      beginMessage(MsgType::IngestRequest, 4 + 8 + 8 + 8 * msg.sample.size());
+  Encoder body = beginMessage(
+      MsgType::IngestRequest,
+      kSampleRecordBytes + 8 + 8 + msg.more.size() * kSampleRecordBytes);
   body.u32(msg.component);
   body.i64(msg.t);
   body.f64(msg.deadline_ms);
   for (double v : msg.sample) body.f64(v);
+  body.u64(msg.more.size());
+  for (const persist::SampleRecord& record : msg.more) {
+    body.u32(record.component);
+    body.i64(record.t);
+    for (double v : record.sample) body.f64(v);
+  }
   return sealMessage(std::move(body));
 }
 

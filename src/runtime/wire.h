@@ -23,8 +23,8 @@
 //   ------ steady state ----------------------------------------
 //   AnalyzeBatchRequest         ->
 //                               <-       AnalyzeBatchReply
-//   IngestRequest               ->
-//                               <-       IngestReply
+//   IngestRequest (a batch)     ->
+//                               <-       IngestReply (one status)
 //   ListComponentsRequest       ->
 //                               <-       ListComponentsReply
 //   ------ errors ----------------------------------------------
@@ -54,7 +54,9 @@ namespace fchain::runtime::wire {
 
 /// "FCWR" little-endian, sibling of persist's "FCSN"/"FCJL"/"FCIJ" magics.
 inline constexpr std::uint32_t kWireMagic = 0x52574346;
-inline constexpr std::uint32_t kWireVersion = 1;
+/// Version 2: an IngestRequest carries a batch (the first sample's fields,
+/// then u64 count | count x (u32 component | i64 t | metric f64s)).
+inline constexpr std::uint32_t kWireVersion = 2;
 
 /// Upper bound on any frame payload. A peer announcing more is lying or
 /// corrupt (the largest legitimate message — a batch reply with findings for

@@ -1,13 +1,14 @@
 // Unit tests for the online monitoring runtime: SLO latch -> auto-trigger,
 // cooldown queueing/drops, re-arm after recovery, per-incident supervision
-// deltas from a handed master, ingest routing, fire-and-forget ingest over
-// flaky transports, the checkpointed ingest path, and the online.* metric
-// instruments.
+// deltas from a handed master, ingest routing, one ingest RPC per slave per
+// tick, fire-and-forget ingest over flaky transports, the checkpointed
+// ingest path, and the online.* metric instruments.
 #include <array>
 #include <cmath>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -258,8 +259,10 @@ TEST(OnlineMonitor, UnroutableComponentCountsAsIngestFailure) {
   auto counters = fx.monitor->metrics().snapshot().counters;
   EXPECT_EQ(counters.at("online.ingest_failures"), 1u);
   EXPECT_EQ(counters.at("online.ingest_samples"), 0u);
-  // A routable component still reaches its owning slave.
+  // A routable component still reaches its owning slave (by the next pump,
+  // the driver-loop contract).
   fx.monitor->ingest(0, 0, sampleAt(0, 0));
+  fx.monitor->pump();
   ASSERT_NE(fx.front->seriesOf(0), nullptr);
   EXPECT_EQ(fx.front->seriesOf(0)->endTime(), 1);
   counters = fx.monitor->metrics().snapshot().counters;
@@ -283,6 +286,7 @@ TEST(OnlineMonitor, FlakyIngestIsLossyButGapFillRepairsTheSlave) {
   spec.components = {0};
   monitor.addApplication(spec);
   for (TimeSec t = 0; t < 400; ++t) monitor.ingest(0, t, sampleAt(t, 0));
+  monitor.pump();
   const auto snap = monitor.metrics().snapshot();
   const std::uint64_t failures = snap.counters.at("online.ingest_failures");
   EXPECT_GT(failures, 0u);
@@ -293,6 +297,105 @@ TEST(OnlineMonitor, FlakyIngestIsLossyButGapFillRepairsTheSlave) {
   EXPECT_GE(slave.seriesOf(0)->endTime(), 395);
   EXPECT_EQ(slave.ingestStatsOf(0)->gaps_filled + 400 - failures,
             static_cast<std::size_t>(slave.seriesOf(0)->endTime()));
+}
+
+/// Forwards every call and counts the ingest RPCs and the samples they carry.
+class CountingEndpoint final : public runtime::SlaveEndpoint {
+ public:
+  explicit CountingEndpoint(std::shared_ptr<runtime::SlaveEndpoint> inner)
+      : inner_(std::move(inner)) {}
+
+  HostId host() const override { return inner_->host(); }
+  runtime::ComponentListReply listComponents() override {
+    return inner_->listComponents();
+  }
+  runtime::AnalyzeBatchReply analyzeBatch(
+      const runtime::AnalyzeBatchRequest& request) override {
+    return inner_->analyzeBatch(request);
+  }
+  runtime::IngestReply ingest(const runtime::IngestRequest& request) override {
+    ++rpcs;
+    request.forEachSample([this](const persist::SampleRecord&) { ++samples; });
+    return inner_->ingest(request);
+  }
+
+  std::size_t rpcs = 0;
+  std::size_t samples = 0;
+
+ private:
+  std::shared_ptr<runtime::SlaveEndpoint> inner_;
+};
+
+TEST(OnlineMonitor, IngestSendsOneRpcPerSlavePerTick) {
+  core::FChainSlave front(0);
+  core::FChainSlave back(1);
+  front.addComponent(0, 0);
+  front.addComponent(1, 0);
+  back.addComponent(2, 0);
+  back.addComponent(3, 0);
+  auto front_count = std::make_shared<CountingEndpoint>(
+      std::make_shared<runtime::LocalEndpoint>(&front));
+  auto back_count = std::make_shared<CountingEndpoint>(
+      std::make_shared<runtime::LocalEndpoint>(&back));
+  OnlineMonitor monitor;
+  monitor.addEndpoint(front_count, {0, 1});
+  monitor.addEndpoint(back_count, {2, 3});
+  AppSpec spec;
+  spec.name = "app";
+  spec.components = {0, 1, 2, 3};
+  const std::size_t app = monitor.addApplication(spec);
+
+  for (TimeSec t = 0; t < 50; ++t) {
+    for (ComponentId id = 0; id < 4; ++id) monitor.ingest(id, t, sampleAt(t, id));
+    monitor.observeLatency(app, t, 0.05);
+    monitor.pump();
+  }
+  EXPECT_EQ(front_count->rpcs, 50u);
+  EXPECT_EQ(back_count->rpcs, 50u);
+  EXPECT_EQ(front_count->samples, 100u);
+  EXPECT_EQ(back_count->samples, 100u);
+
+  // Without observe/pump, the first sample of the next tick sends the
+  // buffered one; the last tick waits for the next pump.
+  for (TimeSec t = 50; t < 53; ++t) {
+    for (ComponentId id = 0; id < 4; ++id) monitor.ingest(id, t, sampleAt(t, id));
+  }
+  EXPECT_EQ(front_count->rpcs, 52u);
+  EXPECT_EQ(back.seriesOf(3)->endTime(), 52);
+  monitor.pump();
+  EXPECT_EQ(front_count->rpcs, 53u);
+  EXPECT_EQ(back_count->rpcs, 53u);
+  EXPECT_EQ(back.seriesOf(3)->endTime(), 53);
+  monitor.pump();  // nothing buffered: no empty RPC
+  EXPECT_EQ(front_count->rpcs, 53u);
+  EXPECT_EQ(monitor.metrics().snapshot().counters.at("online.ingest_samples"),
+            53u * 4);
+}
+
+TEST(OnlineMonitor, FailedBatchCountsEverySampleItCarried) {
+  core::FChainSlave slave(0);
+  slave.addComponent(0, 0);
+  slave.addComponent(1, 0);
+  OnlineMonitor monitor;
+  runtime::FlakyConfig flaky;
+  flaky.outage_windows = {{10, 11}};
+  monitor.addEndpoint(
+      std::make_shared<runtime::FlakyEndpoint>(
+          std::make_shared<runtime::LocalEndpoint>(&slave), flaky),
+      {0, 1});
+  for (TimeSec t = 0; t < 20; ++t) {
+    monitor.ingest(0, t, sampleAt(t, 0));
+    monitor.ingest(1, t, sampleAt(t, 1));
+    monitor.pump();
+  }
+  const auto counters = monitor.metrics().snapshot().counters;
+  EXPECT_EQ(counters.at("online.ingest_samples"), 40u);
+  EXPECT_EQ(counters.at("online.ingest_failures"), 2u);
+  // Both components lost tick 10, and gap-fill repaired it.
+  for (ComponentId id : {0u, 1u}) {
+    EXPECT_EQ(slave.seriesOf(id)->endTime(), 20);
+    EXPECT_EQ(slave.ingestStatsOf(id)->gaps_filled, 1u);
+  }
 }
 
 TEST(OnlineMonitor, CheckpointedIngestJournalsEverySample) {
@@ -307,6 +410,7 @@ TEST(OnlineMonitor, CheckpointedIngestJournalsEverySample) {
   monitor.addEndpoint(
       std::make_shared<CheckpointedEndpoint>(&slave, &checkpointer), {0});
   for (TimeSec t = 0; t < 50; ++t) monitor.ingest(0, t, sampleAt(t, 0));
+  monitor.pump();
   EXPECT_EQ(checkpointer.journaledSinceSnapshot(), 50u);
   // Crash now: recovery rebuilds a slave with the identical series.
   const auto recovered = core::SlaveCheckpointer::recover(dir, 0);

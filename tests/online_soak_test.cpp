@@ -17,8 +17,15 @@
 //     state recovers to the exact live series.
 //
 // Scale: FCHAIN_SOAK_TICKS overrides the simulated duration (default 7200
-// ticks = 2 simulated hours; CI's soak job runs longer). All triggering is
-// in sample time, so every scale replays the same three incidents.
+// ticks = 2 simulated hours; CI's soak job runs 28 800). All triggering is
+// in sample time, so every scale replays the same first incident of each
+// application. Longer runs add incidents: the RUBiS CpuHog never ends, but
+// its latency recovers for `rearm_good_sec` now and then, the monitor
+// re-arms (black-box, it cannot tell a recovered fault from a new one), and
+// the next sustained violation is a new incident. Every incident, re-latches
+// included, must match the offline replay bit for bit.
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
 #include <cstdlib>
@@ -193,7 +200,9 @@ TEST(OnlineSoak, MultiAppHoursLongRunLocalizesEveryIncidentBitIdentically) {
 
   // One slave per application; the RUBiS slave is additionally checkpointed
   // (journal-then-ingest durability under sustained streaming load).
-  const std::string state_dir = ::testing::TempDir() + "/online_soak_state";
+  // Per process: two soak runs at once must not share a state directory.
+  const std::string state_dir = ::testing::TempDir() + "/online_soak_state_" +
+                                std::to_string(::getpid());
   std::filesystem::remove_all(state_dir);
   std::filesystem::create_directories(state_dir);
 
@@ -269,24 +278,34 @@ TEST(OnlineSoak, MultiAppHoursLongRunLocalizesEveryIncidentBitIdentically) {
   monitor.drain();
 
   // --- Every incident detected -------------------------------------------
-  ASSERT_EQ(captured.size(), apps.size());
-  std::vector<bool> seen(apps.size(), false);
+  // Each app's first incident is the latch the simulator's own reference SLO
+  // monitor saw; a later one re-latched after at least rearm_good_sec of
+  // recovered signal.
+  std::vector<const Captured*> first(apps.size(), nullptr);
+  std::vector<TimeSec> last_latch(apps.size(), 0);
   for (const Captured& c : captured) {
     ASSERT_LT(c.incident.app, apps.size());
-    EXPECT_FALSE(seen[c.incident.app])
-        << apps[c.incident.app].name << " triggered twice";
-    seen[c.incident.app] = true;
-    // The monitor latched the same violation the simulator's own reference
-    // SLO monitor latched.
-    EXPECT_EQ(c.incident.violation_time, refs[c.incident.app].tv)
-        << apps[c.incident.app].name;
+    const std::string& name = apps[c.incident.app].name;
+    if (first[c.incident.app] == nullptr) {
+      first[c.incident.app] = &c;
+      EXPECT_EQ(c.incident.violation_time, refs[c.incident.app].tv) << name;
+    } else {
+      EXPECT_GE(c.incident.violation_time,
+                last_latch[c.incident.app] + cfg.rearm_good_sec)
+          << name << " re-latched before its monitor could re-arm";
+    }
+    last_latch[c.incident.app] = c.incident.violation_time;
+  }
+  for (std::size_t a = 0; a < apps.size(); ++a) {
+    EXPECT_NE(first[a], nullptr) << apps[a].name << " never triggered";
   }
 
-  // The stagger forces the queued path: the System S latch lands inside the
+  // Every latch fired exactly one localization (none was dropped), and the
+  // stagger forces the queued path: the System S latch lands inside the
   // RUBiS cooldown and fires late, violation anchor preserved.
   const auto snap = monitor.metrics().snapshot();
-  EXPECT_EQ(snap.counters.at("online.triggers"), apps.size());
-  EXPECT_EQ(snap.counters.at("online.slo_latches"), apps.size());
+  EXPECT_EQ(snap.counters.at("online.triggers"), captured.size());
+  EXPECT_EQ(snap.counters.at("online.slo_latches"), captured.size());
   EXPECT_GE(snap.counters.at("online.incidents_queued"), 1u);
   EXPECT_EQ(snap.counters.at("online.incidents_dropped"), 0u);
   const bool any_queued = std::any_of(
@@ -311,13 +330,12 @@ TEST(OnlineSoak, MultiAppHoursLongRunLocalizesEveryIncidentBitIdentically) {
     EXPECT_EQ(online.pinpointed, offline.pinpointed) << app.name;
   }
   // Ground truth spot-check on the best-understood scenario: the RUBiS
-  // CpuHog blames the db VM (local id 3), as the goldens pin.
-  for (const Captured& c : captured) {
-    if (apps[c.incident.app].name != "rubis") continue;
-    EXPECT_EQ(shiftDown(c.incident.result, apps[c.incident.app].offset)
-                  .pinpointed,
-              (std::vector<ComponentId>{3}));
-  }
+  // CpuHog's first incident blames the db VM (local id 3), as the goldens
+  // pin. Its re-latches come hours into a fault whose onset has long left
+  // the look-back window, so they carry no ground truth.
+  ASSERT_NE(first[0], nullptr);
+  EXPECT_EQ(shiftDown(first[0]->incident.result, apps[0].offset).pinpointed,
+            (std::vector<ComponentId>{3}));
 
   // --- PR-4 durability paths ---------------------------------------------
   EXPECT_TRUE(persist::IncidentJournal::pending(journal.path()).empty())

@@ -453,6 +453,27 @@ TEST(SampleJournal, AppendAndReplay) {
   std::remove(path.c_str());
 }
 
+// One batch append is one write and one flush, but the bytes are those of
+// one append per record, so replay cannot tell the two apart.
+TEST(SampleJournal, BatchAppendWritesTheBytesOfSingleAppends) {
+  const std::string single_path = tempPath("persist_journal_single.journal");
+  const std::string batch_path = tempPath("persist_journal_batch.journal");
+  const std::vector<SampleRecord> records = {
+      makeRecord(0, 100, 1.5), makeRecord(1, 100, 2.5),
+      makeRecord(2, 100, 3.5)};
+  {
+    SampleJournalWriter single(single_path, 4, /*truncate=*/true);
+    for (const SampleRecord& record : records) single.append(record);
+    SampleJournalWriter batch(batch_path, 4, /*truncate=*/true);
+    batch.append(records);
+    EXPECT_EQ(batch.recordsWritten(), 3u);
+  }
+  EXPECT_EQ(readFileBytes(batch_path), readFileBytes(single_path));
+  EXPECT_EQ(readSampleJournal(batch_path).records.size(), 3u);
+  std::remove(single_path.c_str());
+  std::remove(batch_path.c_str());
+}
+
 TEST(SampleJournal, AppendModeContinuesExistingFile) {
   const std::string path = tempPath("persist_journal_append.journal");
   std::remove(path.c_str());

@@ -12,19 +12,31 @@
 //     wire (two live services claiming one slave id);
 //   - the runtime.socket.* metrics the identity suite asserts on;
 //   - the FlakyEndpoint/HungEndpoint torn-reply modeling that lets the
-//     in-process robustness suites rehearse the same failure mode.
+//     in-process robustness suites rehearse the same failure mode;
+//   - batched ingest: every in-tree leaf, over sockets and in-process,
+//     applies and journals a per-tick batch exactly like per-sample
+//     requests.
 #include <cstdint>
+#include <cstring>
+#include <filesystem>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "fchain/recovery.h"
 #include "fchain/slave.h"
 #include "fchain/slave_service.h"
 #include "obs/metrics.h"
+#include "online/checkpointed_endpoint.h"
 #include "persist/codec.h"
+#include "persist/journal.h"
+#include "persist/snapshot.h"
 #include "runtime/flaky_endpoint.h"
 #include "runtime/hung_endpoint.h"
 #include "runtime/slave_registry.h"
@@ -549,6 +561,201 @@ TEST(SocketTransport, MetricsCountConnectsAndFrames) {
   EXPECT_EQ(registry.counter("runtime.socket.crc_errors").value(), 0u);
   EXPECT_EQ(registry.counter("runtime.socket.torn_frames").value(), 0u);
   service.stop();
+}
+
+// --- Batched ingest: every in-tree leaf applies the whole batch --------------
+
+/// The stream both request shapes carry: 400 ticks of four components, with
+/// a five-second gap on component 1, a non-finite value on component 2 and
+/// a stale re-send on component 3, so the repair paths run too. Each tick
+/// is one slave's samples in arrival order.
+std::vector<std::vector<persist::SampleRecord>> batchStream() {
+  std::vector<std::vector<persist::SampleRecord>> ticks(400);
+  for (TimeSec t = 0; t < static_cast<TimeSec>(ticks.size()); ++t) {
+    for (ComponentId id = 0; id < 4; ++id) {
+      if (id == 1 && t >= 100 && t < 105) continue;
+      persist::SampleRecord record;
+      record.component = id;
+      record.t = t;
+      for (std::size_t m = 0; m < kMetricCount; ++m) {
+        record.sample[m] = 10.0 * static_cast<double>(m + 1) +
+                           static_cast<double>((t * 7 + m * 13 + id * 29) % 17) *
+                               0.25;
+      }
+      if (id == 2 && t == 200) {
+        record.sample[0] = std::numeric_limits<double>::quiet_NaN();
+      }
+      ticks[t].push_back(record);
+    }
+    if (t == 151) {
+      persist::SampleRecord stale = ticks[t].back();
+      stale.t = 150;
+      stale.sample.fill(3.0);
+      ticks[t].push_back(stale);
+    }
+  }
+  return ticks;
+}
+
+/// Streams batchStream() through `endpoint`: one request per sample, or one
+/// request per tick with the first sample in the request's own fields.
+void streamBatches(SlaveEndpoint& endpoint, bool batched) {
+  for (const std::vector<persist::SampleRecord>& tick : batchStream()) {
+    for (std::size_t i = 0; i < tick.size(); ++i) {
+      const persist::SampleRecord& record = tick[i];
+      if (batched && i > 0) continue;
+      IngestRequest request;
+      request.component = record.component;
+      request.t = record.t;
+      request.sample = record.sample;
+      if (batched) request.more.assign(tick.begin() + 1, tick.end());
+      ASSERT_EQ(endpoint.ingest(request).status, EndpointStatus::Ok);
+    }
+  }
+}
+
+enum class IngestRoute { Local, Checkpointed, Flaky, Hung, Socket, SocketCheckpointed };
+
+struct RouteResult {
+  std::vector<std::uint8_t> state;  ///< encodeSlaveSnapshot of the live slave
+  std::vector<persist::SampleRecord> journal;  ///< checkpointed routes only
+  std::vector<std::uint8_t> recovered;  ///< recover()'s slave, encoded
+};
+
+RouteResult runRoute(IngestRoute route, bool batched, const std::string& tag) {
+  core::FChainSlave slave(0);
+  for (ComponentId id = 0; id < 4; ++id) slave.addComponent(id, 0);
+  const std::string dir = ::testing::TempDir() + "/ingest_route_" + tag +
+                          (batched ? "_batch" : "_single");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::optional<core::SlaveCheckpointer> checkpointer;
+  if (route == IngestRoute::Checkpointed ||
+      route == IngestRoute::SocketCheckpointed) {
+    checkpointer.emplace(slave, dir);
+  }
+  core::SlaveCheckpointer* durable =
+      checkpointer.has_value() ? &*checkpointer : nullptr;
+
+  std::unique_ptr<core::SlaveService> service;
+  std::shared_ptr<SlaveEndpoint> endpoint;
+  switch (route) {
+    case IngestRoute::Local:
+      endpoint = std::make_shared<LocalEndpoint>(&slave);
+      break;
+    case IngestRoute::Checkpointed:
+      endpoint = std::make_shared<online::CheckpointedEndpoint>(&slave, durable);
+      break;
+    case IngestRoute::Flaky:
+      endpoint = std::make_shared<FlakyEndpoint>(
+          std::make_shared<LocalEndpoint>(&slave), FlakyConfig{});
+      break;
+    case IngestRoute::Hung:
+      endpoint =
+          std::make_shared<HungEndpoint>(std::make_shared<LocalEndpoint>(&slave));
+      break;
+    case IngestRoute::Socket:
+    case IngestRoute::SocketCheckpointed: {
+      core::SlaveServiceConfig config;
+      config.listen = SocketAddress::unixPath(unixSpec("batch_" + tag));
+      service = std::make_unique<core::SlaveService>(slave, config, durable);
+      service->start();
+      endpoint = std::make_shared<SocketEndpoint>(
+          endpointConfig(service->address()));
+      break;
+    }
+  }
+  streamBatches(*endpoint, batched);
+  if (service) service->stop();  // joins the serve thread before the reads
+
+  RouteResult result;
+  result.state = persist::encodeSlaveSnapshot(slave.snapshot(0));
+  if (durable != nullptr) {
+    result.journal = persist::readSampleJournal(durable->journalPath()).records;
+    result.recovered = persist::encodeSlaveSnapshot(
+        core::SlaveCheckpointer::recover(dir, 0).slave.snapshot(0));
+  }
+  std::filesystem::remove_all(dir);
+  return result;
+}
+
+void expectSameRecords(const std::vector<persist::SampleRecord>& a,
+                       const std::vector<persist::SampleRecord>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].component, b[i].component) << "record " << i;
+    EXPECT_EQ(a[i].t, b[i].t) << "record " << i;
+    EXPECT_EQ(std::memcmp(a[i].sample.data(), b[i].sample.data(),
+                          sizeof(double) * kMetricCount),
+              0)
+        << "record " << i;
+  }
+}
+
+// Per-sample requests and per-tick batches leave every route's slave in
+// byte-identical state, and the checkpointed routes journal the identical
+// records. A leaf that applied only a batch's first sample would lose three
+// of every four samples here.
+TEST(IngestBatch, EveryEndpointAppliesTheWholeBatch) {
+  const std::vector<std::pair<IngestRoute, std::string>> routes = {
+      {IngestRoute::Local, "local"},
+      {IngestRoute::Checkpointed, "checkpointed"},
+      {IngestRoute::Flaky, "flaky"},
+      {IngestRoute::Hung, "hung"},
+      {IngestRoute::Socket, "socket"},
+      {IngestRoute::SocketCheckpointed, "socket_checkpointed"}};
+  const std::vector<std::uint8_t> reference =
+      runRoute(IngestRoute::Local, /*batched=*/false, "reference").state;
+  for (const auto& [route, name] : routes) {
+    SCOPED_TRACE(name);
+    const RouteResult single = runRoute(route, /*batched=*/false, name);
+    const RouteResult batch = runRoute(route, /*batched=*/true, name);
+    EXPECT_TRUE(single.state == reference);
+    EXPECT_TRUE(batch.state == reference);
+    expectSameRecords(batch.journal, single.journal);
+    if (route == IngestRoute::Checkpointed ||
+        route == IngestRoute::SocketCheckpointed) {
+      EXPECT_EQ(single.journal.size(), 400u * 4 - 5 + 1);
+      EXPECT_TRUE(batch.recovered == reference);
+    }
+  }
+}
+
+// The auto-checkpoint rule runs once per batch, after the batch is applied:
+// checkpoints land on the same sample-time cadence as with per-sample
+// ingest, and the journal they truncate never holds a sample the snapshot
+// lacks, so recover() rebuilds the live slave.
+TEST(IngestBatch, AutoCheckpointWaitsForTheWholeBatch) {
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "batched" : "per-sample");
+    core::FChainSlave slave(0);
+    for (ComponentId id = 0; id < 4; ++id) slave.addComponent(id, 0);
+    const std::string dir = ::testing::TempDir() + "/ingest_batch_checkpoint";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    core::CheckpointPolicy policy;
+    policy.snapshot_interval_sec = 150;
+    core::SlaveCheckpointer checkpointer(slave, dir, policy);
+    online::CheckpointedEndpoint endpoint(&slave, &checkpointer);
+    streamBatches(endpoint, batched);
+    // The constructor's epoch 1, then checkpoints at ticks 150 and 301 (the
+    // first snapshot ends at 151).
+    EXPECT_EQ(checkpointer.epoch(), 3u);
+    const std::vector<persist::SampleRecord> journal =
+        persist::readSampleJournal(checkpointer.journalPath()).records;
+    ASSERT_FALSE(journal.empty());
+    if (batched) {
+      // Whole ticks: tick 301 is inside the snapshot.
+      EXPECT_EQ(journal.front().t, 302);
+      EXPECT_EQ(journal.size(), 98u * 4);
+    }
+    const std::vector<std::uint8_t> live =
+        persist::encodeSlaveSnapshot(slave.snapshot(0));
+    EXPECT_TRUE(persist::encodeSlaveSnapshot(
+                    core::SlaveCheckpointer::recover(dir, 0).slave.snapshot(
+                        0)) == live);
+    std::filesystem::remove_all(dir);
+  }
 }
 
 // --- Address parsing ---------------------------------------------------------

@@ -5,9 +5,9 @@
 // with persist::CorruptDataError carrying the byte offset of the damage —
 // never crashed on, never decoded as a garbage message. These tests grind
 // that contract with a corpus of valid frames (handshake both directions,
-// analyze request/reply with real findings, streaming ingest — checked into
-// tests/fixtures/wire_frames/ so the wire format itself is pinned in
-// version control) mutated by
+// analyze request/reply with real findings, streaming ingest as one sample
+// and as a multi-sample batch — checked into tests/fixtures/wire_frames/ so
+// the wire format itself is pinned in version control) mutated by
 //   - exhaustive truncation: every proper prefix of every frame;
 //   - exhaustive single-bit flips over every frame in the corpus;
 //   - seeded random multi-bit flips (fixed seeds, replayable);
@@ -20,8 +20,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <span>
 #include <string>
 #include <utility>
@@ -108,6 +110,38 @@ std::vector<std::uint8_t> buildIngestRequest() {
   return encodeIngestRequest(msg);
 }
 
+/// One slave's tick as the online monitor sends it: the first sample in the
+/// request's own fields, two more behind the count, one with awkward
+/// doubles (negative zero, subnormal, infinity).
+IngestRequest ingestBatch() {
+  IngestRequest msg;
+  msg.component = 4;
+  msg.t = 1800;
+  msg.deadline_ms = 1000.0;
+  for (std::size_t i = 0; i < kMetricCount; ++i) {
+    msg.sample[i] = 1.5 * static_cast<double>(i) + 0.0625;
+  }
+  persist::SampleRecord second;
+  second.component = 5;
+  second.t = 1800;
+  for (std::size_t i = 0; i < kMetricCount; ++i) {
+    second.sample[i] = 100.0 - 3.25 * static_cast<double>(i);
+  }
+  persist::SampleRecord awkward;
+  awkward.component = 7;
+  awkward.t = 1800;
+  awkward.sample.fill(0.5);
+  awkward.sample[0] = -0.0;
+  awkward.sample[1] = 4.9406564584124654e-324;  // smallest subnormal
+  awkward.sample[2] = std::numeric_limits<double>::infinity();
+  msg.more = {second, awkward};
+  return msg;
+}
+
+std::vector<std::uint8_t> buildIngestBatch() {
+  return encodeIngestRequest(ingestBatch());
+}
+
 // --- Fixture management ---------------------------------------------------
 
 std::string fixturePath(const std::string& name) {
@@ -147,7 +181,8 @@ std::vector<CorpusEntry> corpus() {
                   {"hello_reply.bin", buildHelloReply()},
                   {"analyze_request.bin", buildAnalyzeRequest()},
                   {"analyze_reply.bin", buildAnalyzeReply()},
-                  {"ingest_request.bin", buildIngestRequest()}};
+                  {"ingest_request.bin", buildIngestRequest()},
+                  {"ingest_batch.bin", buildIngestBatch()}};
   if (updateFixturesRequested()) {
     std::filesystem::create_directories(FCHAIN_FIXTURE_DIR);
     for (const auto& [name, bytes] : builders) {
@@ -174,12 +209,13 @@ void expectByteOffsetError(const CorruptDataError& error, std::size_t size) {
 // deliberate regeneration.
 TEST(WireFuzz, CorpusMatchesCurrentEncoders) {
   const std::vector<CorpusEntry> entries = corpus();
-  ASSERT_EQ(entries.size(), 5u);
+  ASSERT_EQ(entries.size(), 6u);
   EXPECT_EQ(entries[0].bytes, buildHello());
   EXPECT_EQ(entries[1].bytes, buildHelloReply());
   EXPECT_EQ(entries[2].bytes, buildAnalyzeRequest());
   EXPECT_EQ(entries[3].bytes, buildAnalyzeReply());
   EXPECT_EQ(entries[4].bytes, buildIngestRequest());
+  EXPECT_EQ(entries[5].bytes, buildIngestBatch());
 }
 
 // And the valid baselines decode back to the exact messages, doubles
@@ -219,6 +255,28 @@ TEST(WireFuzz, CorpusRoundTripsBitExactly) {
   const auto& ingest = std::get<IngestRequest>(ingest_msg);
   EXPECT_EQ(ingest.component, 2u);
   EXPECT_EQ(ingest.t, 1234);
+  EXPECT_TRUE(ingest.more.empty());
+
+  // The batch walks back in order, every double bit for bit.
+  const Message batch_msg = decodeMessage(entries[5].bytes);
+  const auto& batch = std::get<IngestRequest>(batch_msg);
+  EXPECT_EQ(batch.deadline_ms, 1000.0);
+  std::vector<persist::SampleRecord> decoded;
+  batch.forEachSample(
+      [&](const persist::SampleRecord& record) { decoded.push_back(record); });
+  std::vector<persist::SampleRecord> expected;
+  ingestBatch().forEachSample(
+      [&](const persist::SampleRecord& record) { expected.push_back(record); });
+  ASSERT_EQ(decoded.size(), 3u);
+  for (std::size_t i = 0; i < decoded.size(); ++i) {
+    EXPECT_EQ(decoded[i].component, expected[i].component);
+    EXPECT_EQ(decoded[i].t, expected[i].t);
+    EXPECT_EQ(std::memcmp(decoded[i].sample.data(), expected[i].sample.data(),
+                          sizeof(double) * kMetricCount),
+              0)
+        << "sample " << i;
+  }
+  EXPECT_TRUE(std::signbit(decoded[2].sample[0]));
 }
 
 // The identity hash is what reconnect idempotence and the split-brain guard
@@ -383,6 +441,17 @@ TEST(WireFuzz, ValidlyFramedGarbagePayloadsAreRejected) {
     payload.f64(0.0);    // latency
     payload.u64(1);      // one slot
     payload.u8(2);       // presence flag must be 0/1
+    EXPECT_THROW(decodeMessage(framed(payload.buffer())), CorruptDataError);
+  }
+  // IngestRequest announcing more batched samples than the payload holds.
+  {
+    persist::Encoder payload;
+    payload.u8(static_cast<std::uint8_t>(MsgType::IngestRequest));
+    payload.u32(0);
+    payload.i64(0);
+    payload.f64(0.0);
+    for (std::size_t i = 0; i < kMetricCount; ++i) payload.f64(0.0);
+    payload.u64(1u << 30);  // batched sample count
     EXPECT_THROW(decodeMessage(framed(payload.buffer())), CorruptDataError);
   }
   // IngestReply with an out-of-range status.
