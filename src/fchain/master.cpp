@@ -119,10 +119,6 @@ void FChainMaster::setWorkerThreads(int threads) {
                        : nullptr;
 }
 
-int FChainMaster::workerThreads() const {
-  return pool_ == nullptr ? 0 : pool_->threadCount();
-}
-
 void FChainMaster::setWatchdog(runtime::WatchdogConfig config) {
   watchdog_ = config;
   for (Endpoint& ep : endpoints_) {
@@ -344,17 +340,6 @@ PinpointResult FChainMaster::localizeBatches(
       std::move(findings), components.size(), &dependencies_, analyzed);
   std::sort(unanalyzed.begin(), unanalyzed.end());
   result.unanalyzed = std::move(unanalyzed);
-  return result;
-}
-
-PinpointResult FChainMaster::localizeAndValidate(
-    const std::vector<ComponentId>& components, TimeSec violation_time,
-    const sim::Simulation& snapshot, const ValidationConfig& validation) {
-  PinpointResult result = localize(components, violation_time);
-  if (result.external_factor || result.pinpointed.empty()) return result;
-  FCHAIN_SPAN("master.validate");
-  OnlineValidator validator(validation);
-  result.pinpointed = validator.validate(snapshot, result);
   return result;
 }
 

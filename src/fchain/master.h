@@ -1,9 +1,10 @@
 // FChain master (paper Fig. 1): runs on a dedicated server. When the SLO
 // monitor reports a performance anomaly at time tv, the master fans the
 // analysis request out to the slaves hosting the failing application's VMs,
-// collects their abnormal-change findings, runs integrated pinpointing
-// against the (offline-discovered) dependency graph, and optionally runs the
-// online validation pass to shed false alarms.
+// collects their abnormal-change findings, and runs integrated pinpointing
+// against the (offline-discovered) dependency graph. The online validation
+// pass (fchain/validation.h) runs on the result, where a caller has a
+// simulation snapshot to validate against.
 //
 // Slaves are reached through the runtime::SlaveEndpoint seam, so the master
 // survives an unreliable monitoring plane: every analysis request carries a
@@ -36,7 +37,6 @@
 
 #include "fchain/pinpoint.h"
 #include "fchain/slave.h"
-#include "fchain/validation.h"
 #include "obs/metrics.h"
 #include "persist/journal.h"
 #include "runtime/breaker.h"
@@ -124,9 +124,6 @@ class FChainMaster final : public LocalizationTier {
     dependencies_ = std::move(graph);
   }
 
-  const runtime::RetryPolicy& retryPolicy() const { return retry_; }
-  void setRetryPolicy(runtime::RetryPolicy retry) { retry_ = retry; }
-
   /// Enables wall-time bounding of localization (see runtime/watchdog.h):
   /// per-call watchdog, whole-localize deadline, and per-endpoint circuit
   /// breakers that shed repeatedly hanging endpoints into degraded-mode
@@ -150,7 +147,6 @@ class FChainMaster final : public LocalizationTier {
   /// n >= 1 runs them on n pool threads. Builds (or drops) the pool here, so
   /// localize() only reads it; do not call concurrently with localize().
   void setWorkerThreads(int threads);
-  int workerThreads() const;
 
   /// Health of every registered endpoint, in registration order.
   std::vector<runtime::HealthState> endpointHealth() const;
@@ -181,12 +177,6 @@ class FChainMaster final : public LocalizationTier {
   /// master / worker-pool / slave / signal-kernel spans.
   PinpointResult localize(const std::vector<ComponentId>& components,
                           TimeSec violation_time) override;
-
-  /// Localize + online validation against a simulation snapshot.
-  PinpointResult localizeAndValidate(
-      const std::vector<ComponentId>& components, TimeSec violation_time,
-      const sim::Simulation& snapshot,
-      const ValidationConfig& validation = {});
 
  private:
   struct Endpoint {

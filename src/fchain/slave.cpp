@@ -183,8 +183,4 @@ void FChainSlave::setAnalysisThreads(int threads) {
                       : nullptr;
 }
 
-int FChainSlave::analysisThreads() const {
-  return pool_ == nullptr ? 1 : pool_->threadCount();
-}
-
 }  // namespace fchain::core

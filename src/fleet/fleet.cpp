@@ -151,14 +151,4 @@ std::string FleetMaster::shardJournalPath(ShardId shard) const {
          ".incidents";
 }
 
-obs::MetricsSnapshot FleetMaster::fleetMetricsSnapshot() const {
-  obs::MetricsSnapshot merged = registry_.snapshot();
-  for (const Shard& shard : shards_) {
-    if (shard.master) {
-      obs::mergeInto(merged, shard.master->metrics().snapshot());
-    }
-  }
-  return merged;
-}
-
 }  // namespace fchain::fleet

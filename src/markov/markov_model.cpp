@@ -59,6 +59,4 @@ std::size_t MarkovModel::likeliestNextState(std::size_t from) const {
       std::distance(row, std::max_element(row, row + static_cast<std::ptrdiff_t>(states_))));
 }
 
-double MarkovModel::rowMass(std::size_t from) const { return row_mass_[from]; }
-
 }  // namespace fchain::markov

@@ -44,9 +44,6 @@ class MarkovModel {
   /// Most probable next state.
   std::size_t likeliestNextState(std::size_t from) const;
 
-  /// Total (decayed) transition mass observed out of `from`.
-  double rowMass(std::size_t from) const;
-
  private:
   /// Snapshot/restore bridge (persist/state_access.h). row_mass_ must be
   /// persisted, not recomputed: it is maintained incrementally under decay,

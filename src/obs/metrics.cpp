@@ -154,32 +154,6 @@ void MetricRegistry::writeJson(std::ostream& out) const {
   out << "}}\n";
 }
 
-void mergeInto(MetricsSnapshot& into, const MetricsSnapshot& from) {
-  for (const auto& [name, value] : from.counters) {
-    into.counters[name] += value;
-  }
-  for (const auto& [name, value] : from.gauges) {
-    into.gauges[name] += value;
-  }
-  for (const auto& [name, h] : from.histograms) {
-    const auto it = into.histograms.find(name);
-    if (it == into.histograms.end()) {
-      into.histograms.emplace(name, h);
-      continue;
-    }
-    HistogramSnapshot& dst = it->second;
-    if (dst.bounds != h.bounds) {
-      throw std::invalid_argument("histogram '" + name +
-                                  "' merged with different bounds");
-    }
-    for (std::size_t i = 0; i < dst.buckets.size(); ++i) {
-      dst.buckets[i] += h.buckets[i];
-    }
-    dst.count += h.count;
-    dst.sum += h.sum;
-  }
-}
-
 MetricRegistry& metrics() {
   // Same immortal in-place idiom as obs::tracer(): no lazy-init heap
   // allocation, no static-teardown destruction.

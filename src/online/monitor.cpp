@@ -18,6 +18,12 @@ OnlineMonitor::OnlineMonitor(OnlineMonitorConfig config)
       owned_master_(std::make_unique<core::FChainMaster>()),
       localizer_(*owned_master_) {}
 
+OnlineMonitor::~OnlineMonitor() {
+  for (const PendingIngest& batch : batches_) {
+    if (batch.samples > 0) metric_ingest_failures_.add(batch.samples);
+  }
+}
+
 void OnlineMonitor::addSlave(core::FChainSlave* slave) {
   addEndpoint(std::make_shared<runtime::LocalEndpoint>(slave),
               slave->components());

@@ -65,7 +65,11 @@
 //      late incident fans out.
 // A sample reaches its slave by the next observe*()/pump()/drain(), or by
 // the first sample of a later tick, whichever comes first. A caller that
-// reads a slave directly must pump() first.
+// reads a slave directly must pump() first. Destroying the monitor sends
+// nothing: a LocalEndpoint's slave may already be gone, and a
+// CheckpointedEndpoint's journal write can throw. Samples still buffered
+// then count as failed ingest, so a driver that wants them delivered pumps
+// before it lets the monitor go.
 #pragma once
 
 #include <array>
@@ -154,6 +158,12 @@ class OnlineMonitor {
                 core::LocalizationTier& localizer);
   /// Owns a default FChainMaster as its localizer.
   explicit OnlineMonitor(OnlineMonitorConfig config = {});
+  /// Counts every still-buffered sample in online.ingest_failures; sends
+  /// no RPC (see the driver loop contract above).
+  ~OnlineMonitor();
+  /// Ingest routes point into the monitor's own slave list.
+  OnlineMonitor(const OnlineMonitor&) = delete;
+  OnlineMonitor& operator=(const OnlineMonitor&) = delete;
 
   // --- Registration (before streaming starts) ----------------------------
 
@@ -231,9 +241,10 @@ class OnlineMonitor {
 
   /// The localizer's registry, extended with the monitor's own instruments:
   ///   online.ingest_samples    (counter: samples routed to a slave)
-  ///   online.ingest_failures   (counter: samples unroutable, or in an
+  ///   online.ingest_failures   (counter: samples unroutable, in an
   ///                             ingest RPC that failed — a failed batch
-  ///                             adds its sample count)
+  ///                             adds its sample count — or still buffered
+  ///                             when the monitor is destroyed)
   ///   online.slo_latches       (counter: SLO violations latched)
   ///   online.triggers          (counter: localizations auto-triggered)
   ///   online.incidents_queued  (counter: latches deferred by a cooldown)

@@ -3,8 +3,8 @@
 // Reproduces the monitoring-plane failure modes the telemetry-fault
 // tolerance layer must survive: lost requests, slow replies that blow the
 // deadline, the first-N-requests cold-start failures of a restarting agent,
-// scheduled slave blackout windows, and a hard down switch. All randomness
-// is seeded per request counter, so a run is exactly reproducible.
+// and scheduled slave blackout windows. All randomness is seeded per request
+// counter, so a run is exactly reproducible.
 #pragma once
 
 #include <memory>
@@ -56,12 +56,6 @@ class FlakyEndpoint final : public SlaveEndpoint {
   /// violation_time yet).
   IngestReply ingest(const IngestRequest& request) override;
 
-  /// Hard kill switch (e.g. driven by sim::TelemetryFaultInjector's slave
-  /// outage windows): while set, every request fails Unavailable.
-  void setDown(bool down) { down_ = down; }
-  bool isDown() const { return down_; }
-
-  std::size_t requestCount() const { return requests_; }
   /// Requests whose reply was truncated mid-frame (torn_reply_probability).
   std::size_t tornReplies() const { return torn_replies_; }
 
@@ -73,7 +67,6 @@ class FlakyEndpoint final : public SlaveEndpoint {
 
   std::shared_ptr<SlaveEndpoint> inner_;
   FlakyConfig config_;
-  bool down_ = false;
   std::uint64_t requests_ = 0;
   /// Counted inside the (logically const) fate roll.
   mutable std::size_t torn_replies_ = 0;

@@ -40,11 +40,6 @@ std::uint64_t SocketEndpoint::identity() const {
   return identity_;
 }
 
-std::vector<ComponentId> SocketEndpoint::handshakeComponents() const {
-  std::lock_guard<std::mutex> g(mutex_);
-  return components_;
-}
-
 bool SocketEndpoint::connected() const {
   std::lock_guard<std::mutex> g(mutex_);
   return conn_.valid();
@@ -114,7 +109,6 @@ bool SocketEndpoint::ensureConnectedLocked() {
     }
     host_ = hello->host;
     identity_ = hello->identity_hash;
-    components_ = hello->components;
     conn_ = std::move(sock);
     metric_connects_.add();
     if (ever_connected_) metric_reconnects_.add();

@@ -79,8 +79,6 @@ class SocketEndpoint final : public SlaveEndpoint {
 
   /// Identity hash from the last successful handshake (0 before the first).
   std::uint64_t identity() const;
-  /// Component claims from the last successful handshake.
-  std::vector<ComponentId> handshakeComponents() const;
   bool connected() const;
   /// Closes the connection; the next request reconnects and re-handshakes.
   void disconnect();
@@ -104,7 +102,6 @@ class SocketEndpoint final : public SlaveEndpoint {
   bool version_rejected_ = false;
   HostId host_ = 0;
   std::uint64_t identity_ = 0;
-  std::vector<ComponentId> components_;
   std::uint64_t request_counter_ = 0;
 
   obs::Counter& metric_connects_;

@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 
-#include "common/rng.h"
 #include "common/stats.h"
 #include "obs/trace.h"
 #include "signal/scratch.h"
@@ -142,44 +141,17 @@ double pooledBootstrapConfidence(std::span<const double> xs,
   return static_cast<double>(below) / rounds_f;
 }
 
-/// Original bootstrap: Fisher-Yates with the RNG threaded through the whole
-/// recursion. The shuffle buffer comes from the scratch arena (it is free
-/// again once the rounds finish, so one buffer serves every recursion
-/// level), which is the only change vs the frozen reference engine —
-/// bit-identical output.
-double threadedBootstrapConfidence(std::span<const double> xs,
-                                   double observed_range,
-                                   const CusumConfig& config,
-                                   fchain::Rng& rng,
-                                   SignalScratch& scratch) {
-  std::vector<double>& shuffled = scratch.shuffle(xs.size());
-  std::copy(xs.begin(), xs.end(), shuffled.begin());
-  std::size_t below = 0;
-  for (std::size_t round = 0; round < config.bootstrap_rounds; ++round) {
-    for (std::size_t i = shuffled.size() - 1; i > 0; --i) {
-      std::swap(shuffled[i], shuffled[rng.below(i + 1)]);
-    }
-    if (cusumRange(shuffled).range < observed_range) ++below;
-  }
-  return static_cast<double>(below) /
-         static_cast<double>(config.bootstrap_rounds);
-}
-
 void detectRecursive(std::span<const double> xs, std::size_t offset,
-                     const CusumConfig& config, fchain::Rng& rng,
-                     SignalScratch& scratch, std::vector<ChangePoint>& out) {
+                     const CusumConfig& config, SignalScratch& scratch,
+                     std::vector<ChangePoint>& out) {
   if (xs.size() < config.min_segment * 2) return;
   if (out.size() >= config.max_change_points) return;
 
   const CusumResult observed = cusumRange(xs);
   if (observed.range <= 0.0) return;
 
-  const double confidence =
-      config.bootstrap == BootstrapMode::PooledPermutations
-          ? pooledBootstrapConfidence(xs, observed.range, observed.mean,
-                                      config, scratch)
-          : threadedBootstrapConfidence(xs, observed.range, config, rng,
-                                        scratch);
+  const double confidence = pooledBootstrapConfidence(
+      xs, observed.range, observed.mean, config, scratch);
   if (confidence < config.confidence) return;
 
   // Change starts at the sample *after* the |S| peak.
@@ -192,9 +164,8 @@ void detectRecursive(std::span<const double> xs, std::size_t offset,
   const double after = fchain::mean(xs.subspan(split));
   out.push_back(ChangePoint{offset + split, confidence, after - before});
 
-  detectRecursive(xs.subspan(0, split), offset, config, rng, scratch, out);
-  detectRecursive(xs.subspan(split), offset + split, config, rng, scratch,
-                  out);
+  detectRecursive(xs.subspan(0, split), offset, config, scratch, out);
+  detectRecursive(xs.subspan(split), offset + split, config, scratch, out);
 }
 
 }  // namespace
@@ -207,8 +178,7 @@ std::vector<ChangePoint>& detectChangePointsInto(
   FCHAIN_SPAN_VAR(span, "signal.cusum");
   span.arg("n", static_cast<std::int64_t>(xs.size()));
   out.clear();
-  fchain::Rng rng(config.seed);
-  detectRecursive(xs, 0, config, rng, scratch, out);
+  detectRecursive(xs, 0, config, scratch, out);
   std::sort(out.begin(), out.end(),
             [](const ChangePoint& a, const ChangePoint& b) {
               return a.index < b.index;

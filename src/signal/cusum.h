@@ -9,22 +9,16 @@
 // change points, most of which are normal workload fluctuation — filtering
 // them is FChain's job, not CUSUM's.
 //
-// Two bootstrap drivers:
-//   - PooledPermutations (default, the hot-path engine): resampling
-//     permutations are a pure function of (seed, rounds, segment length),
-//     served from SignalScratch's permutation pool and applied by gather —
-//     no per-round shuffle, no RNG in the loop. The segment is mean-centred
-//     once into the scratch shuffle lane, and the rounds run eight per pass
-//     over it (four 2-wide vectors, one round per lane, each lane adding in
-//     a single round's order), so every range is bit-identical to running
-//     the rounds one at a time. Because segments no longer share RNG state,
-//     a segment whose significance is already decided aborts its remaining
-//     rounds early: the per-round test is replayed after each group, so the
-//     decision and every accepted confidence are unchanged.
-//   - ThreadedRng (the original engine): one RNG threaded through the whole
-//     segmentation recursion, Fisher-Yates shuffle per round. Kept
-//     bit-identical to the pre-scratch implementation (the identity test
-//     pins it against the frozen reference engine).
+// The bootstrap: resampling permutations are a pure function of (seed,
+// rounds, segment length), served from SignalScratch's permutation pool and
+// applied by gather — no per-round shuffle, no RNG in the loop. The segment
+// is mean-centred once into the scratch shuffle lane, and the rounds run
+// eight per pass over it (four 2-wide vectors, one round per lane, each lane
+// adding in a single round's order), so every range is bit-identical to
+// running the rounds one at a time. Because segments share no RNG state, a
+// segment whose significance is already decided aborts its remaining rounds
+// early: the per-round test is replayed after each group, so the decision
+// and every accepted confidence are unchanged.
 #pragma once
 
 #include <cstdint>
@@ -34,16 +28,6 @@
 namespace fchain::signal {
 
 class SignalScratch;
-
-enum class BootstrapMode : std::uint8_t {
-  /// Per-segment-length permutation pool + gathered resampling + early
-  /// exit. Statistically the same test; the drawn permutations differ from
-  /// ThreadedRng, so borderline confidences can differ in the last few
-  /// bootstrap counts.
-  PooledPermutations,
-  /// The original behaviour: one RNG threaded through the recursion.
-  ThreadedRng,
-};
 
 struct CusumConfig {
   /// Bootstrap resamples per segment decision.
@@ -55,10 +39,9 @@ struct CusumConfig {
   std::size_t min_segment = 6;
   /// Safety bound on recursion (maximum number of change points returned).
   std::size_t max_change_points = 64;
-  /// Seed for the bootstrap shuffles; fixed so detection is deterministic.
+  /// Seed of the bootstrap permutations; fixed so detection is
+  /// deterministic.
   std::uint64_t seed = 0xc0521bULL;
-  /// Bootstrap driver (see the header comment).
-  BootstrapMode bootstrap = BootstrapMode::PooledPermutations;
 };
 
 struct ChangePoint {

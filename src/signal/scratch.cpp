@@ -10,8 +10,7 @@ namespace fchain::signal {
 
 namespace {
 
-/// Fisher-Yates over an index row, consuming `rng` exactly like the
-/// threaded bootstrap consumes it over data.
+/// Fisher-Yates over an index row.
 void shuffleRow(std::uint32_t* row, std::size_t n, fchain::Rng& rng) {
   for (std::size_t i = n - 1; i > 0; --i) {
     std::swap(row[i], row[rng.below(i + 1)]);
@@ -20,8 +19,8 @@ void shuffleRow(std::uint32_t* row, std::size_t n, fchain::Rng& rng) {
 
 /// Generates the canonical permutation block for (seed, rounds, n): round 0
 /// shuffles the identity, each later round shuffles the previous round's
-/// permutation (composing permutations, like the threaded bootstrap's
-/// shuffle-of-shuffle), all from an RNG derived only from (seed, n). This
+/// permutation (composing permutations), all from an RNG derived only from
+/// (seed, n). This
 /// definition is independent of caching: pooled and overflow paths produce
 /// identical blocks.
 void generateBlock(std::uint64_t seed, std::size_t rounds, std::size_t n,

@@ -40,11 +40,10 @@ namespace fchain::signal {
 
 /// Deterministic bootstrap permutation pool, keyed by segment length.
 ///
-/// The pooled bootstrap (CusumConfig::bootstrap == PooledPermutations) draws
-/// its resampling permutations from a stream that depends only on
-/// (seed, rounds, segment length) — *not* on how many segments were analyzed
-/// before, which is what makes per-segment early exit and cross-thread
-/// determinism possible. The pool is a pure cache: entries for lengths up to
+/// The CUSUM bootstrap draws its resampling permutations from a stream that
+/// depends only on (seed, rounds, segment length) — *not* on how many
+/// segments were analyzed before, which is what makes per-segment early exit
+/// and cross-thread determinism possible. The pool is a pure cache: entries for lengths up to
 /// kMaxPooledLength are kept, longer segments are regenerated into a reused
 /// overflow buffer on every call, and both paths produce byte-identical
 /// permutations.
@@ -85,8 +84,7 @@ class SignalScratch {
   // Named double lanes, each returned resized to n (values unspecified).
   // Lane assignments — one producer at a time:
   //   smoothed   moving-average output / rollback input
-  //   shuffle    bootstrap buffer: the Fisher-Yates resample in threaded-
-  //              RNG mode; the mean-centred segment that the pooled
+  //   shuffle    bootstrap buffer: the mean-centred segment that the
   //              bootstrap's 8-round groups gather from
   //   burst      burst-signal magnitudes
   //   blockMax   history-error block maxima

@@ -32,15 +32,4 @@ std::vector<double> movingAverage(std::span<const double> xs,
   return out;
 }
 
-std::vector<double> ewma(std::span<const double> xs, double alpha) {
-  std::vector<double> out;
-  out.reserve(xs.size());
-  double prev = xs.empty() ? 0.0 : xs[0];
-  for (double x : xs) {
-    prev = alpha * x + (1.0 - alpha) * prev;
-    out.push_back(prev);
-  }
-  return out;
-}
-
 }  // namespace fchain::signal

@@ -24,8 +24,4 @@ std::vector<double>& movingAverageInto(std::span<const double> xs,
                                        std::size_t half,
                                        std::vector<double>& out);
 
-/// Exponentially weighted moving average with smoothing factor alpha in
-/// (0, 1]; alpha == 1 returns the input unchanged.
-std::vector<double> ewma(std::span<const double> xs, double alpha);
-
 }  // namespace fchain::signal

@@ -54,8 +54,6 @@ enum class TelemetryFaultType : std::uint8_t {
   SlaveOutage,      ///< the slave on the listed hosts is unreachable
 };
 
-std::string_view telemetryFaultTypeName(TelemetryFaultType type);
-
 struct TelemetryFaultSpec {
   TelemetryFaultType type = TelemetryFaultType::SampleDropBurst;
   TimeSec start_time = 0;

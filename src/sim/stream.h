@@ -1,7 +1,7 @@
 // Streaming sample source: the simulator adapted to online consumption.
 //
-// The offline evaluation path runs a Simulation to completion and hands the
-// finished RunRecord to `core::diagnoseIncident`. The online monitoring
+// The offline evaluation path runs a Simulation to completion and localizes
+// from the finished RunRecord (core::localizeRecord). The online monitoring
 // runtime (src/online) instead consumes telemetry one second at a time, as a
 // production deployment would: this adapter advances the simulation tick by
 // tick and emits each component's six metric samples plus the application's
@@ -12,8 +12,8 @@
 // monitor without id collisions — the monitor routes global ids, while the
 // underlying simulation keeps its local 0..n-1 space. record() still returns
 // the *local*-id record, which is exactly what the offline comparator
-// (core::localizeRecord) consumes; callers shift the online result back by
-// idOffset() when comparing.
+// consumes; callers shift the online result back by the id offset they
+// passed in when comparing.
 #pragma once
 
 #include <array>
@@ -47,7 +47,6 @@ class StreamingSource {
       : sim_(config), id_offset_(id_offset) {}
 
   std::size_t componentCount() const { return sim_.app().componentCount(); }
-  ComponentId idOffset() const { return id_offset_; }
 
   /// Global (offset) component ids, ascending.
   std::vector<ComponentId> componentIds() const;

@@ -110,7 +110,6 @@ class TraceCursor {
 
   const TraceConfig& config() const { return config_; }
   double intensityAt(TimeSec t);
-  std::size_t activeEvents() const { return active_.size(); }
   std::size_t maxActiveEvents() const { return max_active_; }
 
  private:

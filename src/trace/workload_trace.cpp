@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <numbers>
-#include <sstream>
 
 namespace fchain::trace {
 
@@ -77,26 +75,6 @@ std::vector<double> generateDiurnalTrace(const DiurnalTraceConfig& config,
     trace.push_back(std::max(0.0, rate));
   }
   return trace;
-}
-
-std::vector<double> loadTraceCsv(const std::string& path) {
-  std::vector<double> values;
-  std::ifstream in(path);
-  if (!in) return values;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    // Accept "value" or "time,value" rows; take the last field.
-    const auto comma = line.find_last_of(',');
-    const std::string field =
-        comma == std::string::npos ? line : line.substr(comma + 1);
-    try {
-      values.push_back(std::stod(field));
-    } catch (const std::exception&) {
-      // Skip headers / malformed rows.
-    }
-  }
-  return values;
 }
 
 }  // namespace fchain::trace

@@ -5,13 +5,12 @@
 // (Aug 28 1995), both from the IRCache archive. Those archives are not
 // redistributable here, so we provide synthetic generators with the same
 // qualitative structure — a strong diurnal cycle, self-similar short-range
-// burstiness, flash crowds, and heavy-tailed noise — plus a CSV loader for
-// anyone who has the real traces. The property FChain's evaluation needs is
-// *realistic non-stationarity*, which these generators deliver.
+// burstiness, flash crowds, and heavy-tailed noise. The property FChain's
+// evaluation needs is *realistic non-stationarity*, which these generators
+// deliver.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -48,9 +47,5 @@ DiurnalTraceConfig clarknetLikeConfig();
 /// Generates `seconds` samples of request intensity (>= 0), 1 Hz.
 std::vector<double> generateDiurnalTrace(const DiurnalTraceConfig& config,
                                          std::size_t seconds, Rng& rng);
-
-/// Loads a one-column (or "time,value") CSV of 1 Hz intensities. Lines that
-/// do not parse are skipped. Returns an empty vector when the file is absent.
-std::vector<double> loadTraceCsv(const std::string& path);
 
 }  // namespace fchain::trace

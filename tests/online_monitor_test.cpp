@@ -1,8 +1,9 @@
 // Unit tests for the online monitoring runtime: SLO latch -> auto-trigger,
 // cooldown queueing/drops, re-arm after recovery, per-incident supervision
 // deltas from a handed master, ingest routing, one ingest RPC per slave per
-// tick, fire-and-forget ingest over flaky transports, the checkpointed
-// ingest path, and the online.* metric instruments.
+// tick, fire-and-forget ingest over flaky transports, the unsent tick of a
+// destroyed monitor, the checkpointed ingest path, and the online.* metric
+// instruments.
 #include <array>
 #include <cmath>
 #include <filesystem>
@@ -396,6 +397,25 @@ TEST(OnlineMonitor, FailedBatchCountsEverySampleItCarried) {
     EXPECT_EQ(slave.seriesOf(id)->endTime(), 20);
     EXPECT_EQ(slave.ingestStatsOf(id)->gaps_filled, 1u);
   }
+}
+
+TEST(OnlineMonitor, DestroyedMonitorCountsItsUnsentTickAsFailed) {
+  core::FChainSlave slave(0);
+  slave.addComponent(0, 0);
+  slave.addComponent(1, 0);
+  auto counting = std::make_shared<CountingEndpoint>(
+      std::make_shared<runtime::LocalEndpoint>(&slave));
+  core::FChainMaster master;
+  {
+    OnlineMonitor monitor({}, master);
+    monitor.addEndpoint(counting, {0, 1});
+    monitor.ingest(0, 0, sampleAt(0, 0));
+    monitor.ingest(1, 0, sampleAt(0, 1));
+  }  // destroyed without pump(): the buffered tick is never sent
+  EXPECT_EQ(counting->rpcs, 0u);
+  const auto counters = master.metrics().snapshot().counters;
+  EXPECT_EQ(counters.at("online.ingest_samples"), 2u);
+  EXPECT_EQ(counters.at("online.ingest_failures"), 2u);
 }
 
 TEST(OnlineMonitor, CheckpointedIngestJournalsEverySample) {

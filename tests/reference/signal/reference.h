@@ -5,15 +5,16 @@
 // two jobs:
 //
 //   1. Oracle for the serial ≡ optimized identity tests: the scratch-arena
-//      engine in ThreadedRng bootstrap mode must reproduce these outputs
-//      bit for bit, and the pooled engine's deviations must stay within the
-//      bounded-delta the tests pin down.
+//      engine's smoothing, burst, outlier and rollback kernels must
+//      reproduce these outputs bit for bit. (The engine's permutation-pool
+//      bootstrap draws different resamples than the threaded RNG below.)
 //   2. In-binary baseline for the throughput bench: the CI speedup gate is
 //      the ratio of the optimized engine to this engine measured in the
 //      same run on the same machine, so the floor is hardware-independent.
 //
 // Do not "improve" this code — its value is that it never changes. It is
-// deliberately not wired into any production path.
+// deliberately not wired into any production path: only test and bench
+// binaries link it.
 #pragma once
 
 #include <span>
@@ -35,7 +36,7 @@ std::vector<double> movingAverage(std::span<const double> xs,
 
 /// Original CUSUM + bootstrap: one RNG threaded through the segmentation
 /// recursion, a fresh shuffle buffer per segment, the segment mean
-/// recomputed inside every bootstrap round. Ignores config.bootstrap.
+/// recomputed inside every bootstrap round.
 std::vector<ChangePoint> detectChangePoints(std::span<const double> xs,
                                             const CusumConfig& config = {});
 

@@ -1,14 +1,12 @@
 // Serial ≡ optimized identity suite for the scratch-arena signal engine.
 //
 // The optimized engine must be provably equivalent to the frozen reference
-// engine (signal/reference.h):
-//   - ThreadedRng bootstrap mode: bit-identical change points, and every
-//     other kernel (smoothing, burst, outlier, rollback) bit-identical
-//     regardless of mode.
-//   - PooledPermutations mode: deterministic (scratch reuse, fresh arenas
-//     and thread count must not matter), and its early exit must make
-//     exactly the accept/reject decisions a full-round run makes, with the
-//     exact confidence on accepted segments.
+// engine (signal/reference.h, a test-only library):
+//   - Smoothing, burst, outlier and rollback kernels: bit-identical.
+//   - CUSUM bootstrap: deterministic (scratch reuse, fresh arenas, a change
+//     of seed or round count, and thread count must not matter), and its
+//     early exit must make exactly the accept/reject decisions a full-round
+//     run makes, with the exact confidence on accepted segments.
 //   - Steady state allocates nothing: after one warm-up pass, the whole
 //     per-VM kernel chain runs without touching operator new.
 #include <gtest/gtest.h>
@@ -84,20 +82,6 @@ bool samePoints(const std::vector<ChangePoint>& a,
   return true;
 }
 
-TEST(EngineIdentity, ThreadedRngMatchesReferenceBitExact) {
-  CusumConfig config;
-  config.bootstrap = BootstrapMode::ThreadedRng;
-  for (std::uint64_t seed : {1ULL, 7ULL, 42ULL, 1234ULL}) {
-    for (std::size_t n : {20u, 101u, 150u, 500u}) {
-      const auto xs = faultyStream(seed, n);
-      const auto expected = reference::detectChangePoints(xs, config);
-      const auto actual = detectChangePoints(xs, config);
-      EXPECT_TRUE(samePoints(expected, actual))
-          << "seed=" << seed << " n=" << n;
-    }
-  }
-}
-
 TEST(EngineIdentity, StatelessKernelsMatchReferenceBitExact) {
   for (std::uint64_t seed : {3ULL, 99ULL}) {
     const auto xs = faultyStream(seed, 200);
@@ -121,9 +105,7 @@ TEST(EngineIdentity, StatelessKernelsMatchReferenceBitExact) {
     EXPECT_EQ(reference::expectedPredictionError(window),
               expectedPredictionError(window));
 
-    CusumConfig config;
-    config.bootstrap = BootstrapMode::ThreadedRng;
-    const auto points = reference::detectChangePoints(xs, config);
+    const auto points = reference::detectChangePoints(xs);
     EXPECT_TRUE(samePoints(reference::outlierChangePoints(points),
                            outlierChangePoints(points)));
     for (std::size_t selected = 0; selected < points.size(); ++selected) {
@@ -134,7 +116,7 @@ TEST(EngineIdentity, StatelessKernelsMatchReferenceBitExact) {
 }
 
 TEST(EngineIdentity, PooledModeIsDeterministicAcrossArenasAndReuse) {
-  const CusumConfig config;  // PooledPermutations default
+  const CusumConfig config;
   // n = 500 exercises both pool paths: the top segments exceed
   // PermutationPool::kMaxPooledLength (regenerated into the overflow
   // buffer), deep recursion segments are cached.
@@ -155,6 +137,32 @@ TEST(EngineIdentity, PooledModeIsDeterministicAcrossArenasAndReuse) {
   detectChangePointsInto(xs, config, fresh_c, out_c);
   EXPECT_TRUE(samePoints(out_a, out_c));
   EXPECT_TRUE(samePoints(out_a, detectChangePoints(xs, config)));
+
+  // One arena alternating between two seeds and two round counts: a new
+  // (seed, rounds) must drop every cached permutation block, so each call
+  // matches a fresh arena's result.
+  std::array<CusumConfig, 4> variants{config, config, config, config};
+  variants[1].seed = config.seed + 1;
+  variants[2].bootstrap_rounds = 120;
+  variants[3].seed = variants[1].seed;
+  variants[3].bootstrap_rounds = variants[2].bootstrap_rounds;
+  std::size_t changed_points = 0;
+  for (std::size_t v : {0u, 1u, 0u, 2u, 3u, 2u, 1u, 3u, 0u}) {
+    const CusumConfig& variant = variants[v];
+    SCOPED_TRACE(::testing::Message() << "seed=" << variant.seed
+                                      << " rounds="
+                                      << variant.bootstrap_rounds);
+    SignalScratch fresh;
+    std::vector<ChangePoint> expected;
+    detectChangePointsInto(xs, variant, fresh, expected);
+    std::vector<ChangePoint> reused;
+    detectChangePointsInto(xs, variant, fresh_a, reused);
+    EXPECT_TRUE(samePoints(expected, reused));
+    if (!samePoints(expected, out_a)) ++changed_points;
+  }
+  // The variants must actually draw different resamples, or the
+  // alternation proves nothing.
+  EXPECT_GT(changed_points, 0u);
 }
 
 TEST(EngineIdentity, PooledEarlyExitMatchesFullRoundOracle) {

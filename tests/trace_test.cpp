@@ -1,8 +1,5 @@
-// Unit tests for trace/: synthetic workload generation and CSV loading.
+// Unit tests for trace/: synthetic workload generation.
 #include <gtest/gtest.h>
-
-#include <cstdio>
-#include <fstream>
 
 #include "common/stats.h"
 #include "trace/workload_trace.h"
@@ -64,28 +61,6 @@ TEST(Trace, FlashCrowdsAddBursts) {
   const auto calm_trace = generateDiurnalTrace(calm, 7200, a);
   const auto flashy_trace = generateDiurnalTrace(flashy, 7200, b);
   EXPECT_GT(maxValue(flashy_trace), maxValue(calm_trace) * 1.2);
-}
-
-TEST(Trace, CsvLoaderParsesValueAndTimeValueRows) {
-  const std::string path = ::testing::TempDir() + "/trace_test.csv";
-  {
-    std::ofstream out(path);
-    out << "# header comment\n";
-    out << "10.5\n";
-    out << "3,20.25\n";
-    out << "not-a-number\n";
-    out << "4,30\n";
-  }
-  const auto values = loadTraceCsv(path);
-  ASSERT_EQ(values.size(), 3u);
-  EXPECT_DOUBLE_EQ(values[0], 10.5);
-  EXPECT_DOUBLE_EQ(values[1], 20.25);
-  EXPECT_DOUBLE_EQ(values[2], 30.0);
-  std::remove(path.c_str());
-}
-
-TEST(Trace, MissingCsvYieldsEmpty) {
-  EXPECT_TRUE(loadTraceCsv("/nonexistent/path.csv").empty());
 }
 
 }  // namespace
