@@ -15,7 +15,10 @@
 //   faulty_found        — apps whose injected component was pinpointed
 //
 // Every number lands in bench_fleet_scale.json so CI can archive the
-// scaling curve and gate on the floor.
+// scaling curve and gate on the floor. With FCHAIN_TRACE=1 the run also
+// writes bench_fleet_scale.trace.json: at shards > 1 the fleet fans out on a
+// worker pool and every shard master records its master / slave / signal
+// spans, which is the trace CI checks for the required span names.
 //
 // Exit status is a gate, not just a report: nonzero when any shard count's
 // per-app results diverge from the single-shard reference (the identity
@@ -36,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/rng.h"
 #include "fchain/slave.h"
 #include "fleet/fleet.h"
@@ -262,6 +266,7 @@ int main(int argc, char** argv) {
   }
   out << "  ]\n}\n";
   std::printf("\nwrote bench_fleet_scale.json\n");
+  benchutil::maybeDumpTrace("bench_fleet_scale");
 
   if (!all_identical) {
     std::printf("FAIL: shard counts disagree — the partitioned-replay "

@@ -16,6 +16,7 @@
 #include "fchain/fchain.h"
 #include "obs/trace.h"
 #include "netdep/dependency.h"
+#include "pinpoint_equal.h"
 #include "runtime/flaky_endpoint.h"
 #include "runtime/worker_pool.h"
 #include "sim/simulator.h"
@@ -121,37 +122,6 @@ Cluster& cluster() {
     return c;
   }();
   return instance;
-}
-
-bool sameFinding(const ComponentFinding& a, const ComponentFinding& b) {
-  if (a.component != b.component || a.onset != b.onset || a.trend != b.trend ||
-      a.metrics.size() != b.metrics.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.metrics.size(); ++i) {
-    const MetricFinding& ma = a.metrics[i];
-    const MetricFinding& mb = b.metrics[i];
-    if (ma.metric != mb.metric || ma.onset != mb.onset ||
-        ma.change_point != mb.change_point || ma.trend != mb.trend ||
-        ma.prediction_error != mb.prediction_error ||
-        ma.expected_error != mb.expected_error) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Byte-level equality of every PinpointResult field.
-bool samePinpoint(const PinpointResult& a, const PinpointResult& b) {
-  if (a.pinpointed != b.pinpointed || a.external_factor != b.external_factor ||
-      a.external_trend != b.external_trend || a.coverage != b.coverage ||
-      a.unanalyzed != b.unanalyzed || a.chain.size() != b.chain.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.chain.size(); ++i) {
-    if (!sameFinding(a.chain[i], b.chain[i])) return false;
-  }
-  return true;
 }
 
 // --- Batched slave analysis -----------------------------------------------

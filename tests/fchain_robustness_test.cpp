@@ -10,6 +10,8 @@
 #include <thread>
 
 #include "fchain/fchain.h"
+#include "pinpoint_equal.h"
+#include "pinpoint_render.h"
 #include "runtime/flaky_endpoint.h"
 #include "sim/injector.h"
 #include "sim/simulator.h"
@@ -451,14 +453,20 @@ TEST(DegradedMode, LocalizesDespiteLossAndDeadSlave) {
   ASSERT_TRUE(sim.violationTime().has_value());
   const TimeSec tv = *sim.violationTime();
 
-  FChainMaster master;
-  runtime::FlakyConfig dead;
-  dead.outage_windows = {{0, 1'000'000}};
-  master.registerEndpoint(std::make_shared<runtime::FlakyEndpoint>(
-      std::make_shared<runtime::LocalEndpoint>(&slaves[0]), dead));
-  for (ComponentId id = 1; id < 4; ++id) master.registerSlave(&slaves[id]);
+  // A fresh master, and a fresh dead endpoint whose fate stream starts
+  // over, per fan-out thread count.
+  const auto localizeAt = [&](int threads) {
+    FChainMaster master;
+    master.setWorkerThreads(threads);
+    runtime::FlakyConfig dead;
+    dead.outage_windows = {{0, 1'000'000}};
+    master.registerEndpoint(std::make_shared<runtime::FlakyEndpoint>(
+        std::make_shared<runtime::LocalEndpoint>(&slaves[0]), dead));
+    for (ComponentId id = 1; id < 4; ++id) master.registerSlave(&slaves[id]);
+    return master.localize({0, 1, 2, 3}, tv);
+  };
 
-  const auto result = master.localize({0, 1, 2, 3}, tv);
+  const auto result = localizeAt(0);
   EXPECT_LT(result.coverage, 1.0);
   EXPECT_DOUBLE_EQ(result.coverage, 0.75);
   EXPECT_EQ(result.unanalyzed, (std::vector<ComponentId>{0}));
@@ -469,6 +477,11 @@ TEST(DegradedMode, LocalizesDespiteLossAndDeadSlave) {
             result.pinpointed.end());
   // Some telemetry was actually lost and repaired along the way.
   EXPECT_GT(slaves[3].ingestStatsOf(3)->gaps_filled, 0u);
+  // Lossy telemetry and a dead slave leave the pooled fan-out's verdict
+  // identical to the inline one, prediction-error doubles included.
+  const auto pooled = localizeAt(4);
+  EXPECT_EQ(renderPinpoint(pooled, tv), renderPinpoint(result, tv));
+  EXPECT_TRUE(samePinpoint(pooled, result));
 }
 
 // --- TelemetryFaultInjector -----------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "common/rng.h"
 #include "signal/cusum.h"
@@ -35,6 +36,14 @@ struct StepCase {
   std::size_t position;
   double magnitude;
 };
+
+// gtest_discover_tests names each CTest case after the printed parameter
+// (".../DetectsSingleStepNearTruePosition/pos50_mag5"). Without this
+// overload gtest prints the struct's raw bytes, and cases that share a
+// position differ only past the first 100 characters of their names.
+void PrintTo(const StepCase& step, std::ostream* os) {
+  *os << "pos" << step.position << "_mag" << step.magnitude;
+}
 
 class CusumStep : public ::testing::TestWithParam<StepCase> {};
 

@@ -22,6 +22,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "fchain/slave.h"
+#include "pinpoint_equal.h"
 #include "signal/burst.h"
 #include "signal/cusum.h"
 #include "signal/outlier.h"
@@ -321,25 +322,6 @@ core::FChainSlave buildSlave() {
   return slave;
 }
 
-bool sameFinding(const core::ComponentFinding& a,
-                 const core::ComponentFinding& b) {
-  if (a.component != b.component || a.onset != b.onset ||
-      a.trend != b.trend || a.metrics.size() != b.metrics.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.metrics.size(); ++i) {
-    const core::MetricFinding& ma = a.metrics[i];
-    const core::MetricFinding& mb = b.metrics[i];
-    if (ma.metric != mb.metric || ma.onset != mb.onset ||
-        ma.change_point != mb.change_point || ma.trend != mb.trend ||
-        ma.prediction_error != mb.prediction_error ||
-        ma.expected_error != mb.expected_error) {
-      return false;
-    }
-  }
-  return true;
-}
-
 TEST(EngineIdentity, ParallelAnalysisMatchesSerialAcrossAllMetrics) {
   core::FChainSlave slave = buildSlave();
   const std::vector<ComponentId> ids{0, 1, 2, 3};
@@ -360,7 +342,7 @@ TEST(EngineIdentity, ParallelAnalysisMatchesSerialAcrossAllMetrics) {
     for (std::size_t i = 0; i < serial.size(); ++i) {
       ASSERT_EQ(serial[i].has_value(), parallel[i].has_value()) << i;
       if (serial[i].has_value()) {
-        EXPECT_TRUE(sameFinding(*serial[i], *parallel[i])) << i;
+        EXPECT_TRUE(core::sameFinding(*serial[i], *parallel[i])) << i;
       }
     }
   }
@@ -369,7 +351,7 @@ TEST(EngineIdentity, ParallelAnalysisMatchesSerialAcrossAllMetrics) {
   for (std::size_t i = 0; i < serial.size(); ++i) {
     ASSERT_EQ(serial[i].has_value(), serial_again[i].has_value()) << i;
     if (serial[i].has_value()) {
-      EXPECT_TRUE(sameFinding(*serial[i], *serial_again[i])) << i;
+      EXPECT_TRUE(core::sameFinding(*serial[i], *serial_again[i])) << i;
     }
   }
 }

@@ -15,7 +15,12 @@
 //     in-process robustness suites rehearse the same failure mode;
 //   - batched ingest: every in-tree leaf, over sockets and in-process,
 //     applies and journals a per-tick batch exactly like per-sample
-//     requests.
+//     requests;
+//   - a pooled master over sockets: every per-slave batch is in flight at
+//     once, and the verdict is the in-process inline verdict.
+#include <algorithm>
+#include <array>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -29,6 +34,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "fchain/master.h"
 #include "fchain/recovery.h"
 #include "fchain/slave.h"
 #include "fchain/slave_service.h"
@@ -37,6 +44,8 @@
 #include "persist/codec.h"
 #include "persist/journal.h"
 #include "persist/snapshot.h"
+#include "pinpoint_equal.h"
+#include "pinpoint_render.h"
 #include "runtime/flaky_endpoint.h"
 #include "runtime/hung_endpoint.h"
 #include "runtime/slave_registry.h"
@@ -533,6 +542,96 @@ TEST(SocketTransport, HungEndpointTornReleaseAbandonsParkedCalls) {
   batch.violation_time = 100;
   EXPECT_EQ(endpoint->analyzeBatch(batch).status, EndpointStatus::Ok);
   EXPECT_EQ(endpoint->tornReplies(), 1u);
+}
+
+// --- Pooled fan-out over sockets -------------------------------------------
+
+/// Slave `host` with `ids`, each streaming 700 s of seeded six-metric noise;
+/// `faulty` takes a CPU step at t = 600, so the verdict has a chain.
+core::FChainSlave stepSlave(HostId host, const std::vector<ComponentId>& ids,
+                            ComponentId faulty) {
+  core::FChainSlave slave(host);
+  for (ComponentId id : ids) slave.addComponent(id, 0);
+  for (ComponentId id : ids) {
+    Rng rng(mixSeed(0x50c7, id));
+    for (TimeSec t = 0; t < 700; ++t) {
+      std::array<double, kMetricCount> sample{};
+      for (std::size_t m = 0; m < kMetricCount; ++m) {
+        sample[m] = 20.0 * static_cast<double>(m + 1) + rng.uniform(-1.5, 1.5);
+      }
+      if (id == faulty && t >= 600) sample[0] += 30.0;
+      slave.ingestAt(id, t, sample);
+    }
+  }
+  return slave;
+}
+
+// Four slaves behind real sockets, each endpoint parked in a HungEndpoint:
+// a 4-thread master must have all four per-slave batches in flight at once.
+// A serial fan-out parks on its first batch and fails the bounded wait
+// instead of hanging. Released, the pooled verdict over the wire renders to
+// the bytes of, and equals field for field, the same slaves localized
+// in-process at 0 threads.
+TEST(SocketTransport, PooledFanOutHasEveryBatchInFlightAtOnce) {
+  constexpr HostId kSlaves = 4;
+  constexpr ComponentId kFaulty = 7;
+  constexpr TimeSec kViolation = 699;
+  std::vector<core::FChainSlave> slaves;
+  for (HostId h = 0; h < kSlaves; ++h) {
+    slaves.push_back(stepSlave(h, {h, h + kSlaves}, kFaulty));
+  }
+  std::vector<ComponentId> components;
+  for (ComponentId id = 0; id < 2 * kSlaves; ++id) components.push_back(id);
+
+  core::FChainMaster inline_master;
+  for (core::FChainSlave& slave : slaves) inline_master.registerSlave(&slave);
+  const core::PinpointResult reference =
+      inline_master.localize(components, kViolation);
+  EXPECT_EQ(reference.pinpointed, (std::vector<ComponentId>{kFaulty}));
+
+  // No per-request deadline: the endpoint's own I/O timeout bounds each
+  // call, so a slow (sanitized) analysis cannot turn into a retry.
+  RetryPolicy retry;
+  retry.request_deadline_ms = 0.0;
+  core::FChainMaster master({}, retry);
+  master.setWorkerThreads(kSlaves);
+  std::vector<std::unique_ptr<core::SlaveService>> services;
+  std::vector<std::shared_ptr<HungEndpoint>> parked;
+  for (HostId h = 0; h < kSlaves; ++h) {
+    core::SlaveServiceConfig config;
+    config.listen =
+        SocketAddress::unixPath(unixSpec("pooled_" + std::to_string(h)));
+    services.push_back(std::make_unique<core::SlaveService>(slaves[h], config));
+    services.back()->start();
+    parked.push_back(std::make_shared<HungEndpoint>(
+        std::make_shared<SocketEndpoint>(
+            endpointConfig(services.back()->address())),
+        /*start_hung=*/true));
+    master.registerEndpoint(parked.back(), slaves[h].components());
+  }
+
+  core::PinpointResult pooled;
+  std::thread caller([&] { pooled = master.localize(components, kViolation); });
+  const auto all_in_flight = [&] {
+    return std::all_of(parked.begin(), parked.end(),
+                       [](const auto& ep) { return ep->inFlight() == 1; });
+  };
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool overlapped = all_in_flight();
+  while (!overlapped && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    overlapped = all_in_flight();
+  }
+  for (const auto& ep : parked) ep->release();
+  caller.join();
+  for (auto& service : services) service->stop();
+
+  EXPECT_TRUE(overlapped)
+      << "the four per-slave batches were never in flight at once";
+  EXPECT_EQ(core::renderPinpoint(pooled, kViolation),
+            core::renderPinpoint(reference, kViolation));
+  EXPECT_TRUE(core::samePinpoint(pooled, reference));
 }
 
 // --- Metrics ----------------------------------------------------------------
