@@ -84,7 +84,8 @@ class TimeSeries {
   std::vector<double> windowCopy(TimeSec from, TimeSec to) const;
 
   /// Drops samples older than `keep` seconds before endTime(); startTime()
-  /// advances accordingly. Used by slaves to bound memory.
+  /// advances accordingly. FChainSlave::ingestAt bounds each VM's state with
+  /// it.
   void trimFront(std::size_t keep);
 
  private:
@@ -114,6 +115,11 @@ class MetricSeries {
 
   TimeSec endTime() const { return series_[0].endTime(); }
   std::size_t size() const { return series_[0].size(); }
+
+  /// TimeSeries::trimFront on all six metrics, so they stay aligned.
+  void trimFront(std::size_t keep) {
+    for (auto& series : series_) series.trimFront(keep);
+  }
 
  private:
   std::array<TimeSeries, kMetricCount> series_{};

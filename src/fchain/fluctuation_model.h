@@ -38,6 +38,13 @@ class NormalFluctuationModel {
 
   TimeSec endTime() const { return predictors_[0].errors().endTime(); }
 
+  /// Keeps the newest `keep` seconds of all six error series.
+  void trimFront(std::size_t keep) {
+    for (markov::OnlinePredictor& predictor : predictors_) {
+      predictor.trimErrors(keep);
+    }
+  }
+
  private:
   /// Snapshot/restore bridge (persist/state_access.h).
   friend struct ::fchain::persist::StateAccess;

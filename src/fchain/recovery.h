@@ -22,7 +22,8 @@
 //     place before truncating the journal. A crash between the two leaves a
 //     journal whose records are already inside the snapshot — replaying
 //     them is value-safe (the duplicate path overwrites with equal values
-//     and leaves the models untouched), never state-corrupting.
+//     and leaves the models untouched; a record the retention already
+//     trimmed is dropped as stale), never state-corrupting.
 #pragma once
 
 #include <optional>

@@ -25,6 +25,14 @@ auto lowerBoundVm(Vec& vms, ComponentId id) {
 
 }  // namespace
 
+TimeSec retentionSec(const FChainConfig& config) {
+  constexpr TimeSec kClampSlack = 8;
+  constexpr TimeSec kLateAnalysis = 600;
+  return config.lookback_sec + config.history_error_window_sec +
+         2 * config.burst_half_window_sec + config.concurrency_threshold_sec +
+         kClampSlack + kLateAnalysis;
+}
+
 FChainSlave::VmState* FChainSlave::findVm(ComponentId id) {
   const auto it = lowerBoundVm(vms_, id);
   return it != vms_.end() && it->id == id ? &it->state : nullptr;
@@ -132,6 +140,14 @@ void FChainSlave::ingestAt(ComponentId id, TimeSec t,
   }
   vm.series.append(clean);
   vm.model.observe(clean);
+
+  // Keep the newest R seconds once the VM is a quarter past them; the
+  // decision reads only this VM's state, so journal replay trims alike.
+  const auto keep = static_cast<std::size_t>(retentionSec(config));
+  if (vm.series.size() > keep + keep / 4) {
+    vm.series.trimFront(keep);
+    vm.model.trimFront(keep);
+  }
 }
 
 const IngestStats* FChainSlave::ingestStatsOf(ComponentId id) const {

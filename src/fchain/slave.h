@@ -10,6 +10,25 @@
 // out-of-order timestamps are tolerated, and non-finite samples are
 // quarantined before they can reach the Markov model or CUSUM. Per-VM
 // IngestStats count every such repair.
+//
+// State is bounded by what analysis can read, not by uptime. An analysis at
+// tv reads the look-back window [tv - W, tv] and the prediction-error
+// history of history_error_window_sec before it. retentionSec() adds the
+// burst and concurrency margins, 8 s of slack and a 600 s allowance for late
+// analyses (a queued incident is analysed at its original tv after the
+// slaves kept ingesting). Once a VM's series grows past R + R/4 samples,
+// ingestAt drops the oldest so that it keeps the newest R, the six metric
+// series and the six prediction-error series in lockstep; trimming in
+// chunks keeps the front erase amortized O(1) per sample. The Markov
+// transition mass is not trimmed: its decay already bounds it. The trim
+// depends only on the VM's own state, so a slave rebuilt by snapshot +
+// journal replay trims at the same samples as the live one. Two
+// consequences:
+//   - an analysis at most 600 s behind the VM's newest sample reads exactly
+//     what an unbounded slave would; one further behind reads a shorter
+//     error history, as a young slave does;
+//   - a sample older than the retained start counts as stale
+//     (IngestStats::stale_dropped), not as a duplicate.
 #pragma once
 
 #include <array>
@@ -23,14 +42,24 @@
 
 namespace fchain::core {
 
-/// Per-VM telemetry repair counters.
+/// Per-VM telemetry repair counters. A duplicate or out-of-order timestamp
+/// inside the retained series overwrites its second and counts in
+/// `duplicates`; one before the retained start (the registration time, or
+/// the start after a retention trim) is dropped and counts in
+/// `stale_dropped`.
 struct IngestStats {
   std::size_t gaps_filled = 0;     ///< synthesized samples (missing seconds)
   std::size_t quarantined = 0;     ///< non-finite metric values replaced
   std::size_t duplicates = 0;      ///< duplicate/out-of-order timestamps
-  std::size_t stale_dropped = 0;   ///< samples older than the series start
+  std::size_t stale_dropped = 0;   ///< samples older than the retained start
   std::size_t future_dropped = 0;  ///< timestamps past max_gap_fill_sec
 };
+
+/// Seconds of history each VM keeps (R in the header comment): look-back +
+/// history error window + 2 x burst half-window + concurrency threshold +
+/// 8 s for the selector's +1 clamps + 600 s for late analyses. 1 650 s at
+/// the FChainConfig defaults, 2 050 s with a 500 s look-back.
+TimeSec retentionSec(const FChainConfig& config);
 
 class FChainSlave {
  public:
@@ -55,17 +84,20 @@ class FChainSlave {
 
   /// Timestamped ingest for unreliable streams: tolerates gaps (filled per
   /// FChainConfig::gap_fill and counted), duplicate/out-of-order timestamps
-  /// (latest value wins, the model is untouched), stale samples (dropped),
-  /// wild future timestamps (dropped) and non-finite values (quarantined —
-  /// the metric's last good value is substituted so neither the Markov
-  /// model nor CUSUM ever sees a NaN/inf).
+  /// (latest value wins, the model is untouched), stale samples before the
+  /// retained start (dropped), wild future timestamps (dropped) and
+  /// non-finite values (quarantined — the metric's last good value is
+  /// substituted so neither the Markov model nor CUSUM ever sees a NaN/inf).
+  /// Every ingest path ends here, so this is where the VM's state is trimmed
+  /// to its retention (see the header comment).
   void ingestAt(ComponentId id, TimeSec t,
                 const std::array<double, kMetricCount>& sample);
 
   /// Telemetry repair counters for one VM; nullptr when unknown.
   const IngestStats* ingestStatsOf(ComponentId id) const;
 
-  /// Read-only view of one VM's repaired metric ring; nullptr when unknown.
+  /// Read-only view of one VM's repaired, retained metric series; nullptr
+  /// when unknown.
   const MetricSeries* seriesOf(ComponentId id) const;
 
   /// Master RPC: analyze one local component's look-back window.

@@ -52,7 +52,8 @@ class OnlineValidator {
   std::vector<ComponentId> validate(const sim::Simulation& snapshot,
                                     const PinpointResult& result) const;
 
-  /// Validates a single component; exposed for tests and the overhead bench.
+  /// Validates a single component: validate() when one component is
+  /// pinpointed, and tests that check one component alone.
   bool validateComponent(const sim::Simulation& snapshot,
                          const ComponentFinding& finding) const;
 

@@ -43,6 +43,10 @@ class OnlinePredictor {
   /// Absolute prediction error per second, aligned with the sample times.
   const TimeSeries& errors() const { return errors_; }
 
+  /// Keeps the newest `keep` seconds of the error series. The Markov model
+  /// needs no trim: its decay already bounds the transition mass.
+  void trimErrors(std::size_t keep) { errors_.trimFront(keep); }
+
   bool ready() const { return discretizer_.calibrated(); }
 
   const MarkovModel& model() const { return model_; }

@@ -14,7 +14,9 @@
 //     degenerate immediate-trigger case);
 //   - the PR-4 durability paths ride along: the incident journal holds no
 //     pending entries at the end, and a checkpointed slave's persisted
-//     state recovers to the exact live series.
+//     state recovers to the exact live series;
+//   - every slave's state stays bounded by its retention (slave.h), however
+//     long the run.
 //
 // Scale: FCHAIN_SOAK_TICKS overrides the simulated duration (default 7200
 // ticks = 2 simulated hours; CI's soak job runs 28 800). All triggering is
@@ -41,6 +43,7 @@
 #include "netdep/dependency.h"
 #include "online/checkpointed_endpoint.h"
 #include "online/monitor.h"
+#include "pinpoint_equal.h"
 #include "pinpoint_render.h"
 #include "sim/apps.h"
 #include "sim/stream.h"
@@ -328,6 +331,13 @@ TEST(OnlineSoak, MultiAppHoursLongRunLocalizesEveryIncidentBitIdentically) {
         << c.incident.triggered_at << ")";
     EXPECT_DOUBLE_EQ(online.coverage, offline.coverage) << app.name;
     EXPECT_EQ(online.pinpointed, offline.pinpointed) << app.name;
+    // Every field, the error doubles too: the slaves keep only their
+    // retention, and a queued incident is analysed after they kept
+    // ingesting, so this is what proves the retention covers the queue lag.
+    EXPECT_TRUE(core::samePinpoint(online, offline))
+        << app.name << " online result differs from offline replay in a "
+        << "field the rendering leaves out (tv=" << c.incident.violation_time
+        << ", triggered_at=" << c.incident.triggered_at << ")";
   }
   // Ground truth spot-check on the best-understood scenario: the RUBiS
   // CpuHog's first incident blames the db VM (local id 3), as the goldens
@@ -336,6 +346,18 @@ TEST(OnlineSoak, MultiAppHoursLongRunLocalizesEveryIncidentBitIdentically) {
   ASSERT_NE(first[0], nullptr);
   EXPECT_EQ(shiftDown(first[0]->incident.result, apps[0].offset).pinpointed,
             (std::vector<ComponentId>{3}));
+
+  // --- Bounded state -------------------------------------------------------
+  // Hours of uptime, yet each VM holds at most its retention plus the
+  // quarter it may grow before the next trim.
+  const auto keep = static_cast<std::size_t>(core::retentionSec(fchain));
+  for (std::size_t a = 0; a < apps.size(); ++a) {
+    for (ComponentId id : sources[a]->componentIds()) {
+      ASSERT_NE(slaves[a]->seriesOf(id), nullptr);
+      EXPECT_LE(slaves[a]->seriesOf(id)->size(), keep + keep / 4)
+          << apps[a].name << " component " << id;
+    }
+  }
 
   // --- PR-4 durability paths ---------------------------------------------
   EXPECT_TRUE(persist::IncidentJournal::pending(journal.path()).empty())
