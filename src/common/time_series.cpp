@@ -4,37 +4,6 @@
 
 namespace fchain {
 
-AppendAtResult TimeSeries::appendAt(TimeSec t, double value, GapFill fill) {
-  AppendAtResult result;
-  if (t < start_) {
-    result.dropped = true;
-    return result;
-  }
-  if (contains(t)) {
-    values_[static_cast<std::size_t>(t - start_)] = value;
-    result.overwrote = true;
-    return result;
-  }
-  const TimeSec end = endTime();
-  if (t > end) {
-    const auto gap = static_cast<std::size_t>(t - end);
-    // Before the first real sample there is nothing to interpolate from, so
-    // the new value itself back-fills the gap under either policy.
-    const double last = values_.empty() ? value : values_.back();
-    values_.reserve(values_.size() + gap + 1);
-    for (std::size_t g = 1; g <= gap; ++g) {
-      const double frac =
-          static_cast<double>(g) / static_cast<double>(gap + 1);
-      values_.push_back(fill == GapFill::Linear
-                            ? last + (value - last) * frac
-                            : last);
-    }
-    result.gap_filled = gap;
-  }
-  values_.push_back(value);
-  return result;
-}
-
 std::span<const double> TimeSeries::window(TimeSec from, TimeSec to) const {
   from = std::max(from, start_);
   to = std::min(to, endTime());
@@ -42,11 +11,6 @@ std::span<const double> TimeSeries::window(TimeSec from, TimeSec to) const {
   const auto offset = static_cast<std::size_t>(from - start_);
   const auto count = static_cast<std::size_t>(to - from);
   return std::span<const double>(values_).subspan(offset, count);
-}
-
-std::vector<double> TimeSeries::windowCopy(TimeSec from, TimeSec to) const {
-  const auto view = window(from, to);
-  return {view.begin(), view.end()};
 }
 
 void TimeSeries::trimFront(std::size_t keep) {

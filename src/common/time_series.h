@@ -14,20 +14,6 @@
 
 namespace fchain {
 
-/// How missing seconds are reconstructed when a sample arrives after a gap
-/// in the 1 Hz stream (lost UDP datagrams, a paused monitoring agent, ...).
-enum class GapFill : std::uint8_t {
-  LastValue,  ///< hold the last observed value flat across the gap
-  Linear,     ///< interpolate between the last value and the new sample
-};
-
-/// Outcome of a timestamped append (TimeSeries::appendAt).
-struct AppendAtResult {
-  std::size_t gap_filled = 0;  ///< synthesized samples inserted before t
-  bool overwrote = false;      ///< duplicate / out-of-order timestamp
-  bool dropped = false;        ///< stale sample before startTime(), ignored
-};
-
 class TimeSeries {
  public:
   TimeSeries() = default;
@@ -49,17 +35,6 @@ class TimeSeries {
   /// Appends the sample for time endTime().
   void append(double value) { values_.push_back(value); }
 
-  /// Timestamped append tolerant of an unreliable 1 Hz stream:
-  ///   - t == endTime(): plain append;
-  ///   - t >  endTime(): the missing seconds are synthesized per `fill`
-  ///     (the count is returned so callers can keep gap statistics);
-  ///   - contains(t):    duplicate or out-of-order sample — latest wins;
-  ///   - t <  startTime(): stale sample, dropped.
-  /// The caller is responsible for rejecting non-finite values first (see
-  /// FChainSlave::ingestAt's quarantine).
-  AppendAtResult appendAt(TimeSec t, double value,
-                          GapFill fill = GapFill::LastValue);
-
   /// True when the series has a sample for time t.
   bool contains(TimeSec t) const { return t >= start_ && t < endTime(); }
 
@@ -79,9 +54,6 @@ class TimeSeries {
   /// Values in the absolute-time window [from, to); both ends are clamped to
   /// the available range, so the result may be shorter than requested.
   std::span<const double> window(TimeSec from, TimeSec to) const;
-
-  /// Copy of window() as an owning vector (convenience for FFT input etc.).
-  std::vector<double> windowCopy(TimeSec from, TimeSec to) const;
 
   /// Drops samples older than `keep` seconds before endTime(); startTime()
   /// advances accordingly. FChainSlave::ingestAt bounds each VM's state with

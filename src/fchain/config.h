@@ -86,11 +86,6 @@ struct FChainConfig {
 
   // --- Telemetry hardening (unreliable monitoring streams) ---------------
 
-  /// Reconstruction policy for seconds missing from a slave's 1 Hz sample
-  /// stream. Gap-filled samples also feed the fluctuation model so the
-  /// prediction-error series stays aligned with the metric series.
-  GapFill gap_fill = GapFill::LastValue;
-
   /// A sample whose timestamp jumps more than this far past the end of the
   /// series is treated as clock corruption and discarded instead of
   /// synthesizing an absurd number of fill samples.

@@ -25,18 +25,19 @@ constexpr std::uint64_t kDiscoverySalt = 0xd15c0ull;
 FChainMaster::~FChainMaster() = default;
 
 void FChainMaster::addEndpoint(
-    std::shared_ptr<runtime::SlaveEndpoint> endpoint,
+    const void* identity, std::shared_ptr<runtime::SlaveEndpoint> endpoint,
     const std::vector<ComponentId>& components,
     runtime::EndpointHealth health) {
-  const std::size_t index = endpoints_.size();
+  std::set<ComponentId> claimed;
   for (ComponentId id : components) {
-    const auto [it, inserted] = routes_.emplace(id, index);
-    if (!inserted) {
+    if (routes_.contains(id) || !claimed.insert(id).second) {
       throw std::invalid_argument(
           "component " + std::to_string(id) +
           " is already monitored by another registered slave");
     }
   }
+  registered_.insert(identity);
+  for (ComponentId id : components) routes_.emplace(id, endpoints_.size());
   endpoints_.push_back({std::move(endpoint), health,
                         std::make_shared<std::mutex>(),
                         runtime::CircuitBreaker(watchdog_.breaker_trip_after,
@@ -47,11 +48,11 @@ void FChainMaster::registerSlave(FChainSlave* slave) {
   if (slave == nullptr) {
     throw std::invalid_argument("cannot register a null slave");
   }
-  if (!registered_.insert(slave).second) {
+  if (registered_.contains(slave)) {
     throw std::invalid_argument("slave registered twice");
   }
-  auto endpoint = std::make_shared<runtime::LocalEndpoint>(slave);
-  addEndpoint(std::move(endpoint), slave->components(),
+  addEndpoint(slave, std::make_shared<runtime::LocalEndpoint>(slave),
+              slave->components(),
               runtime::EndpointHealth(retry_.degraded_after,
                                       retry_.down_after));
 }
@@ -61,7 +62,7 @@ void FChainMaster::registerEndpoint(
   if (endpoint == nullptr) {
     throw std::invalid_argument("cannot register a null endpoint");
   }
-  if (!registered_.insert(endpoint.get()).second) {
+  if (registered_.contains(endpoint.get())) {
     throw std::invalid_argument("endpoint registered twice");
   }
   // Discovery goes through the same retry/health/stats machinery as the
@@ -91,13 +92,13 @@ void FChainMaster::registerEndpoint(
   if (reply.status != EndpointStatus::Ok) {
     ++local.failures;
     mergeStats(local);
-    registered_.erase(endpoint.get());
     throw std::runtime_error(
         std::string("slave discovery failed after retries: ") +
         std::string(runtime::endpointStatusName(reply.status)));
   }
   mergeStats(local);
-  addEndpoint(std::move(endpoint), reply.components, health);
+  const void* identity = endpoint.get();
+  addEndpoint(identity, std::move(endpoint), reply.components, health);
 }
 
 void FChainMaster::registerEndpoint(
@@ -106,10 +107,11 @@ void FChainMaster::registerEndpoint(
   if (endpoint == nullptr) {
     throw std::invalid_argument("cannot register a null endpoint");
   }
-  if (!registered_.insert(endpoint.get()).second) {
+  if (registered_.contains(endpoint.get())) {
     throw std::invalid_argument("endpoint registered twice");
   }
-  addEndpoint(std::move(endpoint), components,
+  const void* identity = endpoint.get();
+  addEndpoint(identity, std::move(endpoint), components,
               runtime::EndpointHealth(retry_.degraded_after,
                                       retry_.down_after));
 }

@@ -205,8 +205,11 @@ class FChainMaster final : public LocalizationTier {
   };
 
   /// Adds the endpoint under the given component routes (shared tail of
-  /// both register paths); `health` carries any discovery-time history.
-  void addEndpoint(std::shared_ptr<runtime::SlaveEndpoint> endpoint,
+  /// both register paths) and records `identity` as registered; `health`
+  /// carries any discovery-time history. Every claim is checked before
+  /// anything is recorded, so a refused registration leaves no trace.
+  void addEndpoint(const void* identity,
+                   std::shared_ptr<runtime::SlaveEndpoint> endpoint,
                    const std::vector<ComponentId>& components,
                    runtime::EndpointHealth health);
 

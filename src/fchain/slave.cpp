@@ -117,7 +117,8 @@ void FChainSlave::ingestAt(ComponentId id, TimeSec t,
     return;
   }
   if (gap > 0) {
-    // Synthesize the missing seconds and feed them to the model too, so the
+    // Hold the last value across the missing seconds (before the first
+    // sample, back-fill with it) and feed them to the model too, so the
     // prediction-error series stays aligned with the metric series.
     std::array<double, kMetricCount> last{};
     for (std::size_t m = 0; m < kMetricCount; ++m) {
@@ -125,16 +126,8 @@ void FChainSlave::ingestAt(ComponentId id, TimeSec t,
       last[m] = series.empty() ? clean[m] : series.at(series.endTime() - 1);
     }
     for (TimeSec g = 1; g <= gap; ++g) {
-      std::array<double, kMetricCount> filled{};
-      const double frac =
-          static_cast<double>(g) / static_cast<double>(gap + 1);
-      for (std::size_t m = 0; m < kMetricCount; ++m) {
-        filled[m] = config.gap_fill == GapFill::Linear
-                        ? last[m] + (clean[m] - last[m]) * frac
-                        : last[m];
-      }
-      vm.series.append(filled);
-      vm.model.observe(filled);
+      vm.series.append(last);
+      vm.model.observe(last);
     }
     vm.stats.gaps_filled += static_cast<std::size_t>(gap);
   }

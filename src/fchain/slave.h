@@ -6,10 +6,10 @@
 // work thereby stays distributed across hosts (paper §III-G).
 //
 // Ingestion is hardened against unreliable monitoring streams: missing
-// seconds are gap-filled (FChainConfig::gap_fill), duplicate and
-// out-of-order timestamps are tolerated, and non-finite samples are
-// quarantined before they can reach the Markov model or CUSUM. Per-VM
-// IngestStats count every such repair.
+// seconds are filled with the last value, duplicate and out-of-order
+// timestamps are tolerated, and non-finite samples are quarantined before
+// they can reach the Markov model or CUSUM. Per-VM IngestStats count every
+// such repair.
 //
 // State is bounded by what analysis can read, not by uptime. An analysis at
 // tv reads the look-back window [tv - W, tv] and the prediction-error
@@ -82,12 +82,14 @@ class FChainSlave {
   /// Feeds one second of samples for one local VM at the series' endTime().
   void ingest(ComponentId id, const std::array<double, kMetricCount>& sample);
 
-  /// Timestamped ingest for unreliable streams: tolerates gaps (filled per
-  /// FChainConfig::gap_fill and counted), duplicate/out-of-order timestamps
-  /// (latest value wins, the model is untouched), stale samples before the
-  /// retained start (dropped), wild future timestamps (dropped) and
-  /// non-finite values (quarantined — the metric's last good value is
-  /// substituted so neither the Markov model nor CUSUM ever sees a NaN/inf).
+  /// Timestamped ingest for unreliable streams: tolerates gaps (the last
+  /// value is held across them, a gap before the first sample is
+  /// back-filled with that sample, and both are counted),
+  /// duplicate/out-of-order timestamps (latest value wins, the model is
+  /// untouched), stale samples before the retained start (dropped), wild
+  /// future timestamps (dropped) and non-finite values (quarantined — the
+  /// metric's last good value is substituted so neither the Markov model
+  /// nor CUSUM ever sees a NaN/inf).
   /// Every ingest path ends here, so this is where the VM's state is trimmed
   /// to its retention (see the header comment).
   void ingestAt(ComponentId id, TimeSec t,

@@ -1,6 +1,8 @@
 #include "fchain/slave_service.h"
 
 #include <poll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <stdexcept>
@@ -37,9 +39,17 @@ SlaveService::SlaveService(FChainSlave& slave, SlaveServiceConfig config,
       metric_crc_errors_(
           registryOf(config_).counter("runtime.socket.crc_errors")),
       metric_torn_frames_(
-          registryOf(config_).counter("runtime.socket.torn_frames")) {}
+          registryOf(config_).counter("runtime.socket.torn_frames")) {
+  wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  if (wake_fd_ < 0) {
+    throw std::runtime_error("SlaveService: cannot create the wake eventfd");
+  }
+}
 
-SlaveService::~SlaveService() { stop(); }
+SlaveService::~SlaveService() {
+  stop();
+  ::close(wake_fd_);
+}
 
 std::uint64_t SlaveService::identityHash() const {
   return wire::slaveIdentityHash(slave_.host(), slave_.components());
@@ -52,19 +62,29 @@ void SlaveService::start() {
 
 void SlaveService::stop() {
   stop_.store(true);
+  const std::uint64_t one = 1;
+  // Only a counter at its maximum refuses the write, and that still wakes.
+  [[maybe_unused]] const ssize_t written = ::write(wake_fd_, &one, sizeof one);
   if (thread_.joinable()) thread_.join();
 }
 
 void SlaveService::run() {
   while (!stop_.load()) {
-    struct pollfd fds[2];
+    struct pollfd fds[3];
     nfds_t nfds = 0;
+    fds[nfds++] = {wake_fd_, POLLIN, 0};
     fds[nfds++] = {listener_.fd(), POLLIN, 0};
     if (conn_.valid()) fds[nfds++] = {conn_.fd(), POLLIN, 0};
-    // A short tick keeps stop() responsive without a self-pipe.
-    const int rc = ::poll(fds, nfds, 200);
-    if (rc <= 0) continue;
+    if (::poll(fds, nfds, -1) <= 0) continue;
     if (fds[0].revents & POLLIN) {
+      // Drain the wake (a stop() that came before this run() leaves one
+      // too) and re-check the flag.
+      std::uint64_t wakes = 0;
+      [[maybe_unused]] const ssize_t drained =
+          ::read(wake_fd_, &wakes, sizeof wakes);
+      continue;
+    }
+    if (fds[1].revents & POLLIN) {
       runtime::Socket accepted = listener_.accept(/*timeout_ms=*/100.0);
       if (accepted.valid()) {
         // Newest connection wins: the master reconnecting after a failure
@@ -73,7 +93,7 @@ void SlaveService::run() {
         metric_connects_.add();
       }
     }
-    if (nfds > 1 && (fds[1].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+    if (nfds > 2 && (fds[2].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
       serveConnection();
     }
   }

@@ -75,6 +75,7 @@ class SlaveService {
   /// Blocking serve loop (the daemon's main thread) — returns after stop()
   /// or a Shutdown frame.
   void run();
+  /// Wakes the serve loop at once and joins start()'s thread.
   void stop();
 
   /// Bound address (tcp port 0 resolved to the kernel-assigned port).
@@ -94,6 +95,8 @@ class SlaveService {
   SlaveCheckpointer* checkpointer_;
   runtime::Listener listener_;
   runtime::Socket conn_;
+  /// eventfd in the serve loop's poll set; stop() writes it.
+  int wake_fd_ = -1;
   std::atomic<bool> stop_{false};
   std::thread thread_;
 

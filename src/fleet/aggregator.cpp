@@ -1,7 +1,6 @@
 #include "fleet/aggregator.h"
 
 #include <algorithm>
-#include <map>
 
 namespace fchain::fleet {
 
@@ -42,28 +41,6 @@ ShardPartial FleetAggregator::darkShard(ShardId shard,
             partial.result.unanalyzed.end());
   partial.components = std::move(slice);
   return partial;
-}
-
-std::vector<ShardPartial> partitionByOwner(
-    const HashRing& ring, const std::vector<ComponentId>& components) {
-  std::map<ShardId, std::size_t> slot_of;
-  std::vector<ShardPartial> slices;
-  for (const ComponentId id : components) {
-    const ShardId owner = ring.ownerOfComponent(id);
-    const auto [it, inserted] = slot_of.emplace(owner, slices.size());
-    if (inserted) {
-      slices.emplace_back();
-      slices.back().shard = owner;
-    }
-    slices[it->second].components.push_back(id);
-  }
-  // Ascending shard order: the merge (and any stats accounting walking the
-  // partials) must not depend on which component happened to come first.
-  std::sort(slices.begin(), slices.end(),
-            [](const ShardPartial& a, const ShardPartial& b) {
-              return a.shard < b.shard;
-            });
-  return slices;
 }
 
 }  // namespace fchain::fleet

@@ -26,13 +26,16 @@
 // seeded split fuzzer (tests/fleet_aggregator_fuzz_test.cpp) pin this.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "fchain/pinpoint.h"
-#include "fleet/hash_ring.h"
 #include "netdep/dependency.h"
 
 namespace fchain::fleet {
+
+/// Identifier of one master shard in the fleet tier.
+using ShardId = std::uint32_t;
 
 /// One shard's contribution to a fleet localization: the slice it owns (in
 /// fleet-caller order) and its master's PinpointResult over that slice. A
@@ -66,12 +69,5 @@ class FleetAggregator {
  private:
   core::IntegratedPinpointer pinpointer_;
 };
-
-/// Splits `components` into per-shard slices by ring ownership, preserving
-/// the caller's component order inside each slice; slices come back in
-/// ascending ShardId order (only shards that own something appear). The
-/// `result` fields are default-constructed — the caller fills them.
-std::vector<ShardPartial> partitionByOwner(
-    const HashRing& ring, const std::vector<ComponentId>& components);
 
 }  // namespace fchain::fleet

@@ -1,6 +1,9 @@
 #include "fleet/fleet.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <unordered_set>
 #include <utility>
 
 #include "runtime/worker_pool.h"
@@ -8,16 +11,14 @@
 namespace fchain::fleet {
 
 FleetMaster::FleetMaster(FleetConfig config)
-    : config_(config),
-      ring_(std::max<std::size_t>(1, config.shards), config.vnodes),
-      aggregator_(config.fchain) {
-  shards_.resize(ring_.shardCount());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    : config_(config), aggregator_(config.fchain) {
+  shards_.resize(std::max<std::size_t>(1, config.shards));
+  for (ShardId s = 0; s < shards_.size(); ++s) {
     if (!config_.journal_dir.empty()) {
-      shards_[s].journal = std::make_unique<persist::IncidentJournal>(
-          shardJournalPath(static_cast<ShardId>(s)));
+      shards_[s].journal =
+          std::make_unique<persist::IncidentJournal>(shardJournalPath(s));
     }
-    shards_[s].master = buildMaster(shards_[s]);
+    shards_[s].master = buildMaster(s);
   }
 }
 
@@ -37,14 +38,18 @@ const FleetMaster::Shard& FleetMaster::checkedShard(ShardId shard) const {
   return shards_[shard];
 }
 
-std::unique_ptr<core::FChainMaster> FleetMaster::buildMaster(Shard& shard) {
+std::unique_ptr<core::FChainMaster> FleetMaster::buildMaster(ShardId shard) {
   auto master =
       std::make_unique<core::FChainMaster>(config_.fchain, config_.retry);
   master->setWorkerThreads(config_.shard_worker_threads);
   master->setDependencies(dependencies_);
-  if (shard.journal) master->setIncidentJournal(shard.journal.get());
-  for (const Registration& reg : shard.registrations) {
-    master->registerEndpoint(reg.endpoint, reg.components);
+  if (shards_[shard].journal) {
+    master->setIncidentJournal(shards_[shard].journal.get());
+  }
+  for (std::size_t k = shard; k < registrations_.size();
+       k += shards_.size()) {
+    master->registerEndpoint(registrations_[k].endpoint,
+                             registrations_[k].components);
   }
   return master;
 }
@@ -52,14 +57,32 @@ std::unique_ptr<core::FChainMaster> FleetMaster::buildMaster(Shard& shard) {
 void FleetMaster::registerEndpoint(
     std::shared_ptr<runtime::SlaveEndpoint> endpoint,
     const std::vector<ComponentId>& components) {
-  for (ShardPartial& slice : partitionByOwner(ring_, components)) {
-    Shard& shard = checkedShard(slice.shard);
-    shard.registrations.push_back(
-        Registration{endpoint, std::move(slice.components)});
-    if (shard.master) {
-      shard.master->registerEndpoint(shard.registrations.back().endpoint,
-                                     shard.registrations.back().components);
+  // Check everything before recording anything, so a refused registration
+  // leaves no trace in the routing a recovered shard is rebuilt from.
+  if (endpoint == nullptr) {
+    throw std::invalid_argument("cannot register a null endpoint");
+  }
+  for (const Registration& reg : registrations_) {
+    if (reg.endpoint == endpoint) {
+      throw std::invalid_argument("endpoint registered twice");
     }
+  }
+  std::unordered_set<ComponentId> claimed;
+  for (const ComponentId id : components) {
+    if (owner_.contains(id) || !claimed.insert(id).second) {
+      throw std::invalid_argument(
+          "component " + std::to_string(id) +
+          " is already monitored by another registered slave");
+    }
+  }
+
+  const auto shard = static_cast<ShardId>(registrations_.size() %
+                                          shards_.size());
+  for (const ComponentId id : components) owner_.emplace(id, shard);
+  registrations_.push_back(Registration{std::move(endpoint), components});
+  if (shards_[shard].master) {
+    shards_[shard].master->registerEndpoint(registrations_.back().endpoint,
+                                            components);
   }
 }
 
@@ -80,7 +103,7 @@ core::PinpointResult FleetMaster::localize(
   metric_localizations_.add();
   metric_components_.add(components.size());
 
-  std::vector<ShardPartial> partials = partitionByOwner(ring_, components);
+  std::vector<ShardPartial> partials = partition(components);
   const auto runSlice = [&](ShardPartial& partial) {
     Shard& shard = shards_[partial.shard];
     if (!shard.master) {
@@ -111,6 +134,21 @@ core::PinpointResult FleetMaster::localize(
   return aggregator_.merge(partials, components.size(), &dependencies_);
 }
 
+std::vector<ShardPartial> FleetMaster::partition(
+    const std::vector<ComponentId>& components) const {
+  std::vector<ShardPartial> slices(shards_.size());
+  for (ShardId s = 0; s < slices.size(); ++s) slices[s].shard = s;
+  for (const ComponentId id : components) {
+    const auto owner = owner_.find(id);
+    slices[owner == owner_.end() ? 0 : owner->second].components.push_back(
+        id);
+  }
+  std::erase_if(slices, [](const ShardPartial& slice) {
+    return slice.components.empty();
+  });
+  return slices;
+}
+
 void FleetMaster::crashShard(ShardId shard) {
   Shard& s = checkedShard(shard);
   // Order matters: the master holds a raw journal pointer, so it must die
@@ -127,7 +165,7 @@ std::vector<core::RerunIncident> FleetMaster::recoverShard(ShardId shard) {
     s.journal = std::make_unique<persist::IncidentJournal>(
         shardJournalPath(shard));
   }
-  s.master = buildMaster(s);
+  s.master = buildMaster(shard);
   if (!s.journal) return {};
   return core::rerunPendingIncidents(*s.master, *s.journal);
 }

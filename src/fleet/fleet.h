@@ -3,22 +3,28 @@
 //
 // One FChainMaster owns every component of every application it serves, so
 // a single process bounds the fleet's components-per-second. FleetMaster
-// splits that ownership across N independent master shards:
+// splits that ownership across N independent master shards. The unit of
+// ownership is the slave, as in the paper's master/slave split: each
+// registered endpoint goes whole to one shard, the k-th registration to
+// shard k mod N.
 //
-//               ┌── shard 0: FChainMaster ── endpoints of its slice
-//   FleetMaster ┼── shard 1: FChainMaster ── ...
-//     HashRing  └── shard N-1 ...
+//               ┌── shard 0: FChainMaster ── slaves 0, N, 2N, ...
+//   FleetMaster ┼── shard 1: FChainMaster ── slaves 1, N+1, ...
+//               └── shard N-1 ...
 //        │
-//        └─ localize(app, tv): partitionByOwner → per-shard localize →
-//           FleetAggregator::merge  (byte-identical to one master; see
-//           fleet/aggregator.h for the composition argument)
+//        └─ localize(app, tv): partition → per-shard localize →
+//           FleetAggregator::merge  (byte-identical to one master for any
+//           disjoint partition; see fleet/aggregator.h)
 //
-// Ownership is consistent-hash assignment (fleet/hash_ring.h): slaves and
-// endpoints register once with the fleet, which slices their component
-// lists by ring owner and registers each slice with the owning shard.
-// Applications therefore span shards transparently — localize() fans out to
-// every shard owning a piece of the app and re-derives the application
-// verdict from the union of shard evidence.
+// Registration records each slave's components in a component → shard
+// table, and partition() slices an application's component list by it.
+// Every slave therefore gets exactly one analyze batch per localization,
+// whatever the shard count, and no endpoint is shared between shard
+// masters. A component no registered slave monitors goes to shard 0, whose
+// master reports it unanalyzed exactly as a single master does.
+// Applications span shards transparently: localize() fans out to every
+// shard owning a piece of the app and re-derives the application verdict
+// from the union of shard evidence.
 //
 // Failover reuses the single-master crash story unchanged: each shard has
 // its own persist::IncidentJournal, so a shard that dies mid-localization
@@ -31,12 +37,12 @@
 
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "fchain/master.h"
 #include "fchain/recovery.h"
 #include "fleet/aggregator.h"
-#include "fleet/hash_ring.h"
 #include "obs/metrics.h"
 #include "persist/journal.h"
 
@@ -50,8 +56,6 @@ struct FleetConfig {
   /// Number of master shards (ids 0..shards-1). 1 collapses the tier to a
   /// single master behind the fleet interface.
   std::size_t shards = 2;
-  /// Virtual nodes per shard on the assignment ring.
-  std::size_t vnodes = HashRing::kDefaultVnodes;
 
   /// Per-shard master configuration — identical across shards, and it must
   /// equal the single-master config the goldens were produced with for the
@@ -64,10 +68,9 @@ struct FleetConfig {
   int shard_worker_threads = 0;
 
   /// Threads for the cross-shard fan-out of one fleet localize() (0 =
-  /// serial, shards walked in ascending id order). Safe with LocalEndpoint
-  /// transports (slave analysis is const + thread-safe); only enable for
-  /// other transports when every endpoint tolerates concurrent requests
-  /// from *different* shard masters.
+  /// serial, shards walked in ascending id order). Each endpoint belongs to
+  /// exactly one shard master, so no transport sees requests from two
+  /// shards.
   int fleet_threads = 0;
 
   /// Directory for per-shard incident journals ("" disables journaling).
@@ -82,16 +85,16 @@ class FleetMaster final : public core::LocalizationTier {
 
   // --- Registration (before localizations start) -------------------------
 
-  /// Registers an in-process slave through registerEndpoint(): one
-  /// LocalEndpoint, shared by every shard owning one of its components
-  /// (slave analysis is const + thread-safe, so shard masters may call it
-  /// concurrently). The slave must outlive the fleet; components must be
+  /// Registers an in-process slave through registerEndpoint() behind one
+  /// LocalEndpoint. The slave must outlive the fleet; components must be
   /// registered first.
   void addSlave(core::FChainSlave* slave);
 
-  /// Registers a transport endpoint under a manifest component list; the
-  /// list is sliced by ring ownership and each owning shard registers the
-  /// shared endpoint for its slice.
+  /// Registers a transport endpoint under a manifest component list with
+  /// one shard: the k-th registration goes to shard k mod N. The whole
+  /// registration is checked before anything is recorded: a null or
+  /// repeated endpoint, or a component already claimed (here or earlier),
+  /// throws std::invalid_argument, as FChainMaster does.
   void registerEndpoint(std::shared_ptr<runtime::SlaveEndpoint> endpoint,
                         const std::vector<ComponentId>& components) override;
 
@@ -124,9 +127,15 @@ class FleetMaster final : public core::LocalizationTier {
 
   // --- Introspection -----------------------------------------------------
 
-  const HashRing& ring() const { return ring_; }
   std::size_t shardCount() const { return shards_.size(); }
-  ShardId ownerOf(ComponentId id) const { return ring_.ownerOfComponent(id); }
+
+  /// Splits `components` into the per-shard slices localize() runs: each
+  /// component goes to the shard of the slave that monitors it (shard 0
+  /// when none does), in the caller's order inside each slice. Slices come
+  /// in ascending ShardId order and only shards that own something appear.
+  /// The `result` fields are default-constructed.
+  std::vector<ShardPartial> partition(
+      const std::vector<ComponentId>& components) const;
 
   /// The shard's live master. Throws std::logic_error while it is crashed.
   core::FChainMaster& shardMaster(ShardId shard);
@@ -145,8 +154,9 @@ class FleetMaster final : public core::LocalizationTier {
   const obs::MetricRegistry& metrics() const { return registry_; }
 
  private:
-  /// One endpoint × slice registration, retained so a crashed shard's
-  /// master can be rebuilt with identical routing.
+  /// One endpoint registration, retained so a crashed shard's master can
+  /// be rebuilt with identical routing. Registration k belongs to shard
+  /// k mod N.
   struct Registration {
     std::shared_ptr<runtime::SlaveEndpoint> endpoint;
     std::vector<ComponentId> components;
@@ -154,20 +164,20 @@ class FleetMaster final : public core::LocalizationTier {
   struct Shard {
     std::unique_ptr<core::FChainMaster> master;
     std::unique_ptr<persist::IncidentJournal> journal;
-    std::vector<Registration> registrations;
   };
 
   Shard& checkedShard(ShardId shard);
   const Shard& checkedShard(ShardId shard) const;
   /// Fresh master wired with config, dependencies, and the shard journal;
-  /// re-registers `registrations`.
-  std::unique_ptr<core::FChainMaster> buildMaster(Shard& shard);
+  /// re-registers the shard's retained registrations.
+  std::unique_ptr<core::FChainMaster> buildMaster(ShardId shard);
 
   FleetConfig config_;
-  HashRing ring_;
   FleetAggregator aggregator_;
   netdep::DependencyGraph dependencies_;
   std::vector<Shard> shards_;  ///< index == ShardId
+  std::vector<Registration> registrations_;  ///< registration order
+  std::unordered_map<ComponentId, ShardId> owner_;
   std::unique_ptr<runtime::WorkerPool> pool_;
 
   obs::MetricRegistry registry_;

@@ -66,10 +66,10 @@
 // A sample reaches its slave by the next observe*()/pump()/drain(), or by
 // the first sample of a later tick, whichever comes first. A caller that
 // reads a slave directly must pump() first. Destroying the monitor sends
-// nothing: a LocalEndpoint's slave may already be gone, and a
-// CheckpointedEndpoint's journal write can throw. Samples still buffered
-// then count as failed ingest, so a driver that wants them delivered pumps
-// before it lets the monitor go.
+// nothing: a LocalEndpoint's slave may already be gone, and a durable
+// endpoint's journal write can throw. Samples still buffered then count as
+// failed ingest, so a driver that wants them delivered pumps before it lets
+// the monitor go.
 #pragma once
 
 #include <array>
@@ -174,8 +174,8 @@ class OnlineMonitor {
 
   /// Registers a slave behind an arbitrary transport, with the localizer
   /// and as the ingest route of its components. The endpoint must implement
-  /// the ingest RPC (LocalEndpoint, CheckpointedEndpoint, and the chaos
-  /// decorators all do).
+  /// the ingest RPC (LocalEndpoint, SocketEndpoint and FlakyEndpoint all
+  /// do).
   void addEndpoint(std::shared_ptr<runtime::SlaveEndpoint> endpoint,
                    const std::vector<ComponentId>& components);
 

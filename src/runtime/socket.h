@@ -18,8 +18,8 @@
 //   BadVersion  the peer speaks a newer protocol version
 //
 // That taxonomy is what the chaos decorators (FlakyEndpoint torn replies,
-// HungEndpoint abandoned calls) emulate in-process, so the emulated and
-// real transports exercise the same master-side handling.
+// the tests' HungEndpoint abandoned calls) emulate in-process, so the
+// emulated and real transports exercise the same master-side handling.
 #pragma once
 
 #include <cstdint>

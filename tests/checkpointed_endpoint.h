@@ -6,13 +6,12 @@
 // (journal-then-ingest per batch, see fchain/recovery.h) and the slave
 // auto-checkpoints on the checkpointer's sample-time cadence. Analysis RPCs
 // go straight to the slave — they read state, so they need no durability
-// hop. Plugging this into OnlineMonitor::addEndpoint gives an online
-// deployment whose slaves survive a crash with zero learned-history loss:
-// recover() rebuilds them bit-identically and streaming resumes where it
-// stopped.
-//
-// Header-only for the same layering reason as LocalEndpoint: it touches
-// fchain_core types, and the link-level dependency points the other way.
+// hop. Plugging this into OnlineMonitor::addEndpoint gives the tests an
+// in-process online deployment whose slaves survive a crash with zero
+// learned-history loss: recover() rebuilds them bit-identically and
+// streaming resumes where it stopped. A deployed slave gets the same
+// durability from SlaveService, which routes every ingest RPC through its
+// checkpointer.
 #pragma once
 
 #include <vector>

@@ -57,17 +57,6 @@ TEST(TimeSeries, WindowClampsToAvailableRange) {
   EXPECT_TRUE(ts.window(100, 200).empty());
 }
 
-TEST(TimeSeries, WindowCopyMatchesWindow) {
-  TimeSeries ts(0);
-  for (int i = 0; i < 10; ++i) ts.append(i * i);
-  const auto copy = ts.windowCopy(3, 7);
-  const auto view = ts.window(3, 7);
-  ASSERT_EQ(copy.size(), view.size());
-  for (std::size_t i = 0; i < copy.size(); ++i) {
-    EXPECT_DOUBLE_EQ(copy[i], view[i]);
-  }
-}
-
 TEST(TimeSeries, TrimFrontAdvancesStart) {
   TimeSeries ts(0);
   for (int i = 0; i < 10; ++i) ts.append(i);

@@ -28,12 +28,12 @@
 
 #include "fchain/fchain.h"
 #include "fchain/recovery.h"
+#include "hung_endpoint.h"
 #include "netdep/dependency.h"
 #include "persist/codec.h"
 #include "pinpoint_render.h"
 #include "persist/journal.h"
 #include "persist/snapshot.h"
-#include "runtime/hung_endpoint.h"
 #include "sim/injector.h"
 #include "sim/simulator.h"
 

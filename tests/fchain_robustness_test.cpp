@@ -28,66 +28,6 @@ std::array<double, kMetricCount> flatSample(double value) {
   return sample;
 }
 
-// --- TimeSeries::appendAt -------------------------------------------------
-
-TEST(TimeSeriesAppendAt, InOrderAppendsNormally) {
-  TimeSeries series(100);
-  const auto r = series.appendAt(100, 1.0);
-  EXPECT_EQ(r.gap_filled, 0u);
-  EXPECT_FALSE(r.overwrote);
-  EXPECT_FALSE(r.dropped);
-  EXPECT_EQ(series.size(), 1u);
-  EXPECT_DOUBLE_EQ(series.at(100), 1.0);
-}
-
-TEST(TimeSeriesAppendAt, GapFillLastValue) {
-  TimeSeries series(0);
-  series.appendAt(0, 2.0);
-  const auto r = series.appendAt(4, 10.0, GapFill::LastValue);
-  EXPECT_EQ(r.gap_filled, 3u);
-  ASSERT_EQ(series.size(), 5u);
-  EXPECT_DOUBLE_EQ(series.at(1), 2.0);
-  EXPECT_DOUBLE_EQ(series.at(3), 2.0);
-  EXPECT_DOUBLE_EQ(series.at(4), 10.0);
-}
-
-TEST(TimeSeriesAppendAt, GapFillLinearInterpolates) {
-  TimeSeries series(0);
-  series.appendAt(0, 0.0);
-  const auto r = series.appendAt(4, 8.0, GapFill::Linear);
-  EXPECT_EQ(r.gap_filled, 3u);
-  EXPECT_DOUBLE_EQ(series.at(1), 2.0);
-  EXPECT_DOUBLE_EQ(series.at(2), 4.0);
-  EXPECT_DOUBLE_EQ(series.at(3), 6.0);
-  EXPECT_DOUBLE_EQ(series.at(4), 8.0);
-}
-
-TEST(TimeSeriesAppendAt, GapOnEmptySeriesBackfillsWithValue) {
-  TimeSeries series(10);
-  const auto r = series.appendAt(13, 5.0);
-  EXPECT_EQ(r.gap_filled, 3u);
-  EXPECT_DOUBLE_EQ(series.at(10), 5.0);
-  EXPECT_DOUBLE_EQ(series.at(13), 5.0);
-}
-
-TEST(TimeSeriesAppendAt, DuplicateOverwritesLatestWins) {
-  TimeSeries series(0);
-  series.appendAt(0, 1.0);
-  series.appendAt(1, 2.0);
-  const auto r = series.appendAt(0, 7.0);
-  EXPECT_TRUE(r.overwrote);
-  EXPECT_DOUBLE_EQ(series.at(0), 7.0);
-  EXPECT_EQ(series.size(), 2u);
-}
-
-TEST(TimeSeriesAppendAt, StaleSampleDropped) {
-  TimeSeries series(50);
-  series.appendAt(50, 1.0);
-  const auto r = series.appendAt(49, 9.0);
-  EXPECT_TRUE(r.dropped);
-  EXPECT_EQ(series.size(), 1u);
-}
-
 // --- FChainSlave ingestion hardening --------------------------------------
 
 TEST(SlaveIngest, GapsAreFilledAndCounted) {
@@ -101,6 +41,52 @@ TEST(SlaveIngest, GapsAreFilledAndCounted) {
   EXPECT_EQ(stats->quarantined, 0u);
   // Series and model error series stay aligned.
   EXPECT_FALSE(slave.analyze(1, 6).has_value());  // too short, not UB
+}
+
+TEST(SlaveIngest, GapHoldsTheLastValue) {
+  FChainSlave slave(0);
+  slave.addComponent(1, 0);
+  std::array<double, kMetricCount> before{};
+  std::array<double, kMetricCount> after{};
+  for (std::size_t m = 0; m < kMetricCount; ++m) {
+    before[m] = 1.0 + static_cast<double>(m);
+    after[m] = 20.0 + static_cast<double>(m);
+  }
+  slave.ingestAt(1, 0, before);
+  slave.ingestAt(1, 4, after);  // seconds 1-3 missing
+  const MetricSeries* series = slave.seriesOf(1);
+  ASSERT_NE(series, nullptr);
+  ASSERT_EQ(series->size(), 5u);
+  for (std::size_t m = 0; m < kMetricCount; ++m) {
+    const TimeSeries& metric = series->of(kAllMetrics[m]);
+    for (TimeSec t = 1; t <= 3; ++t) {
+      EXPECT_DOUBLE_EQ(metric.at(t), before[m]) << "metric " << m << " t=" << t;
+    }
+    EXPECT_DOUBLE_EQ(metric.at(4), after[m]);
+  }
+}
+
+TEST(SlaveIngest, GapBeforeTheFirstSampleIsBackFilledWithIt) {
+  FChainSlave slave(0);
+  slave.addComponent(1, 10);
+  std::array<double, kMetricCount> first{};
+  for (std::size_t m = 0; m < kMetricCount; ++m) {
+    first[m] = 5.0 + static_cast<double>(m);
+  }
+  slave.ingestAt(1, 13, first);  // seconds 10-12 missing
+  const IngestStats* stats = slave.ingestStatsOf(1);
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->gaps_filled, 3u);
+  const MetricSeries* series = slave.seriesOf(1);
+  ASSERT_NE(series, nullptr);
+  ASSERT_EQ(series->size(), 4u);
+  for (std::size_t m = 0; m < kMetricCount; ++m) {
+    const TimeSeries& metric = series->of(kAllMetrics[m]);
+    EXPECT_EQ(metric.startTime(), 10);
+    for (TimeSec t = 10; t <= 13; ++t) {
+      EXPECT_DOUBLE_EQ(metric.at(t), first[m]) << "metric " << m << " t=" << t;
+    }
+  }
 }
 
 TEST(SlaveIngest, NonFiniteValuesAreQuarantined) {
@@ -228,10 +214,19 @@ TEST(MasterRegistration, RejectsSameSlaveTwice) {
 TEST(MasterRegistration, RejectsDuplicateComponentClaims) {
   FChainSlave a(0), b(1);
   a.addComponent(5, 0);
-  b.addComponent(5, 0);  // same ComponentId on another host
+  // The same ComponentId on another host, after two unclaimed ones.
+  for (const ComponentId id : {2, 3, 5}) b.addComponent(id, 0);
   FChainMaster master;
   master.registerSlave(&a);
   EXPECT_THROW(master.registerSlave(&b), std::invalid_argument);
+  // The refused registration leaves no route behind: 2 and 3 stay
+  // unrouted, and another slave may claim them.
+  EXPECT_EQ(master.localize({2, 3}, 100).unanalyzed,
+            (std::vector<ComponentId>{2, 3}));
+  FChainSlave c(2);
+  for (const ComponentId id : {2, 3}) c.addComponent(id, 0);
+  master.registerSlave(&c);
+  EXPECT_TRUE(master.localize({2, 3}, 100).unanalyzed.empty());
 }
 
 TEST(MasterRegistration, RejectsNullSlave) {

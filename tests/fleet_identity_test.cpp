@@ -1,8 +1,10 @@
 // Partitioned-replay golden suite for the fleet tier: the N-shard
 // localization result must be *byte-identical* to the single-master golden
-// for every N in {1, 2, 4, 8} on the campaign's canonical scenarios —
-// including a shard crash mid-localization followed by journal-driven
-// recovery, and an OnlineMonitor handed the fleet over a live stream.
+// for every N in {1, 2, 4, 8} on the campaign's canonical scenarios, with
+// the app on two slaves and with one slave per component (so up to
+// min(N, components) shards hold a slice) — including a shard crash
+// mid-localization followed by journal-driven recovery, and an
+// OnlineMonitor handed the fleet over a live stream.
 //
 // Golden ownership: single_fault / concurrent_fault are produced by
 // test_golden_localization (the offline single-master reference) and are
@@ -11,6 +13,7 @@
 // goldens, regenerated from the *single-master* path only:
 //   FCHAIN_UPDATE_GOLDEN=1 ./build/tests/test_fleet_identity
 // The sharded paths always compare against the bytes on disk.
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -72,27 +75,39 @@ sim::ScenarioConfig hadoopInfiniteLoop() {
 
 // --- Incident construction ------------------------------------------------
 
-/// A fully-ingested incident: two slaves splitting the app's components by
-/// index (front = first half on host 0), the recorded violation time, and
-/// the discovered dependency graph — the same construction the offline
-/// golden flow uses, generalized over application size.
+/// How an incident's components are spread over slaves. A fleet shard owns
+/// whole slaves, so the placement sets how many shards hold a slice.
+enum class Placement {
+  TwoHosts,           ///< first half on host 0, the rest on host 1
+  SlavePerComponent,  ///< component k alone on host k
+};
+
+/// A fully-ingested incident: the app's components on slaves per
+/// `placement`, the recorded violation time, and the discovered dependency
+/// graph — the same construction the offline golden flow uses, generalized
+/// over application size.
 struct Incident {
-  std::unique_ptr<core::FChainSlave> front;
-  std::unique_ptr<core::FChainSlave> back;
+  std::vector<std::unique_ptr<core::FChainSlave>> slaves;
   std::vector<ComponentId> components;
   TimeSec tv = 0;
   netdep::DependencyGraph deps;
 };
 
-Incident makeIncident(const sim::ScenarioConfig& config) {
+Incident makeIncident(const sim::ScenarioConfig& config,
+                      Placement placement = Placement::TwoHosts) {
   Incident incident;
   sim::Simulation sim(config);
   const std::size_t n = sim.app().componentCount();
-  incident.front = std::make_unique<core::FChainSlave>(0);
-  incident.back = std::make_unique<core::FChainSlave>(1);
+  std::vector<core::FChainSlave*> slave_of;
   for (ComponentId id = 0; id < n; ++id) {
+    const auto host = static_cast<HostId>(
+        placement == Placement::TwoHosts ? (id < n / 2 ? 0 : 1) : id);
+    if (host == incident.slaves.size()) {
+      incident.slaves.push_back(std::make_unique<core::FChainSlave>(host));
+    }
     incident.components.push_back(id);
-    (id < n / 2 ? *incident.front : *incident.back).addComponent(id, 0);
+    slave_of.push_back(incident.slaves[host].get());
+    slave_of.back()->addComponent(id, 0);
   }
   while (!sim.violationTime().has_value() && sim.now() < 3600) {
     sim.step();
@@ -102,7 +117,7 @@ Incident makeIncident(const sim::ScenarioConfig& config) {
       for (MetricKind kind : kAllMetrics) {
         sample[metricIndex(kind)] = sim.app().metricsOf(id).of(kind).at(t);
       }
-      (id < n / 2 ? *incident.front : *incident.back).ingest(id, sample);
+      slave_of[id]->ingest(id, sample);
     }
   }
   EXPECT_TRUE(sim.violationTime().has_value())
@@ -112,22 +127,30 @@ Incident makeIncident(const sim::ScenarioConfig& config) {
   return incident;
 }
 
-std::string singleMasterRender(const Incident& incident) {
+std::string singleMasterRender(const Incident& incident,
+                               const std::vector<ComponentId>& components) {
   core::FChainMaster master;
-  master.registerSlave(incident.front.get());
-  master.registerSlave(incident.back.get());
+  for (const auto& slave : incident.slaves) master.registerSlave(slave.get());
   master.setDependencies(incident.deps);
-  return core::renderPinpoint(
-      master.localize(incident.components, incident.tv), incident.tv);
+  return core::renderPinpoint(master.localize(components, incident.tv),
+                              incident.tv);
 }
 
-std::string fleetRender(const Incident& incident, FleetConfig config) {
-  FleetMaster fleet(std::move(config));
-  fleet.addSlave(incident.front.get());
-  fleet.addSlave(incident.back.get());
+std::string singleMasterRender(const Incident& incident) {
+  return singleMasterRender(incident, incident.components);
+}
+
+void addSlaves(FleetMaster& fleet, const Incident& incident) {
+  for (const auto& slave : incident.slaves) fleet.addSlave(slave.get());
   fleet.setDependencies(incident.deps);
-  return core::renderPinpoint(
-      fleet.localize(incident.components, incident.tv), incident.tv);
+}
+
+std::string fleetRender(const Incident& incident, FleetConfig config,
+                        const std::vector<ComponentId>& components) {
+  FleetMaster fleet(std::move(config));
+  addSlaves(fleet, incident);
+  return core::renderPinpoint(fleet.localize(components, incident.tv),
+                              incident.tv);
 }
 
 // --- Golden plumbing ------------------------------------------------------
@@ -164,17 +187,32 @@ void expectMatchesGolden(const std::string& name, const std::string& actual) {
 
 void expectFleetMatchesGolden(const sim::ScenarioConfig& config,
                               const std::string& golden_name) {
-  const Incident incident = makeIncident(config);
   const std::string golden = readGolden(golden_name);
-  // Guard against a stale golden: the single-master path must agree with
-  // the bytes on disk before they are used as the sharding reference.
-  ASSERT_EQ(singleMasterRender(incident), golden)
-      << golden_name << " is stale relative to the single-master path";
-  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    FleetConfig fleet_config;
-    fleet_config.shards = shards;
-    EXPECT_EQ(fleetRender(incident, fleet_config), golden)
-        << golden_name << " diverged at " << shards << " shards";
+  for (const Placement placement :
+       {Placement::TwoHosts, Placement::SlavePerComponent}) {
+    const Incident incident = makeIncident(config, placement);
+    const std::size_t slaves = incident.slaves.size();
+    // Guard against a stale golden: the single-master path must agree with
+    // the bytes on disk before they are used as the sharding reference.
+    ASSERT_EQ(singleMasterRender(incident), golden)
+        << golden_name << " is stale relative to the single-master path ("
+        << slaves << " slaves)";
+    for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+      FleetConfig fleet_config;
+      fleet_config.shards = shards;
+      FleetMaster fleet(fleet_config);
+      addSlaves(fleet, incident);
+      // Every slave holds part of the app and owns one shard slot, so
+      // min(shards, slaves) shards hold a slice.
+      EXPECT_EQ(fleet.partition(incident.components).size(),
+                std::min(shards, slaves));
+      EXPECT_EQ(core::renderPinpoint(
+                    fleet.localize(incident.components, incident.tv),
+                    incident.tv),
+                golden)
+          << golden_name << " diverged at " << shards << " shards over "
+          << slaves << " slaves";
+    }
   }
 }
 
@@ -211,12 +249,30 @@ TEST(FleetIdentity, HadoopInfiniteLoop) {
 /// Cross-shard fan-out on a worker pool plus batched per-shard masters:
 /// still the same bytes (this is the configuration the TSan job runs).
 TEST(FleetIdentity, ThreadedFanOutMatchesGolden) {
-  const Incident incident = makeIncident(rubisCpuHog());
+  const Incident incident =
+      makeIncident(rubisCpuHog(), Placement::SlavePerComponent);
   FleetConfig config;
   config.shards = 4;
   config.fleet_threads = 4;
   config.shard_worker_threads = 2;
-  EXPECT_EQ(fleetRender(incident, config), readGolden("single_fault"));
+  EXPECT_EQ(fleetRender(incident, config, incident.components),
+            readGolden("single_fault"));
+}
+
+/// A component no registered slave monitors goes to shard 0, whose master
+/// reports it unanalyzed exactly as the single master does.
+TEST(FleetIdentity, UnroutedComponentMatchesTheSingleMaster) {
+  const Incident incident = makeIncident(rubisCpuHog());
+  std::vector<ComponentId> components = incident.components;
+  components.insert(components.begin() + 2, 99);
+  const std::string single = singleMasterRender(incident, components);
+  ASSERT_NE(single.find("unanalyzed: 99\n"), std::string::npos) << single;
+  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+    FleetConfig config;
+    config.shards = shards;
+    EXPECT_EQ(fleetRender(incident, config, components), single)
+        << "diverged at " << shards << " shards";
+  }
 }
 
 // --- Shard crash mid-localization + journal-driven recovery ---------------
@@ -235,17 +291,14 @@ TEST(FleetFailover, CrashMidLocalizationThenRerunMatchesGolden) {
   config.shards = 4;
   config.journal_dir = dir;
   FleetMaster fleet(config);
-  fleet.addSlave(incident.front.get());
-  fleet.addSlave(incident.back.get());
-  fleet.setDependencies(incident.deps);
+  addSlaves(fleet, incident);
 
   // Crash the shard owning the faulty db VM (component 3) with the incident
   // journaled as started but not completed — exactly the on-disk state a
   // real crash between fan-out and logDone leaves behind.
-  const ShardId crashed = fleet.ownerOf(3);
+  const ShardId crashed = fleet.partition({3}).front().shard;
   std::vector<ComponentId> slice;
-  for (const ShardPartial& partial :
-       partitionByOwner(fleet.ring(), incident.components)) {
+  for (const ShardPartial& partial : fleet.partition(incident.components)) {
     if (partial.shard == crashed) slice = partial.components;
   }
   ASSERT_FALSE(slice.empty());
@@ -275,8 +328,7 @@ TEST(FleetFailover, CrashMidLocalizationThenRerunMatchesGolden) {
   // The re-run partial hand-merged with the live shards' fresh partials
   // reproduces the golden — the recovered shard's answer is byte-equivalent
   // to one that never crashed.
-  std::vector<ShardPartial> partials =
-      partitionByOwner(fleet.ring(), incident.components);
+  std::vector<ShardPartial> partials = fleet.partition(incident.components);
   for (ShardPartial& partial : partials) {
     if (partial.shard == crashed) {
       partial.result = reruns[0].result;

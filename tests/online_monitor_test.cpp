@@ -14,8 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include "checkpointed_endpoint.h"
 #include "fchain/recovery.h"
-#include "online/checkpointed_endpoint.h"
 #include "online/monitor.h"
 #include "runtime/flaky_endpoint.h"
 

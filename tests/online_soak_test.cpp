@@ -38,10 +38,10 @@
 
 #include <gtest/gtest.h>
 
+#include "checkpointed_endpoint.h"
 #include "fchain/fchain.h"
 #include "fchain/recovery.h"
 #include "netdep/dependency.h"
-#include "online/checkpointed_endpoint.h"
 #include "online/monitor.h"
 #include "pinpoint_equal.h"
 #include "pinpoint_render.h"

@@ -34,20 +34,20 @@
 
 #include <gtest/gtest.h>
 
+#include "checkpointed_endpoint.h"
 #include "common/rng.h"
 #include "fchain/master.h"
 #include "fchain/recovery.h"
 #include "fchain/slave.h"
 #include "fchain/slave_service.h"
+#include "hung_endpoint.h"
 #include "obs/metrics.h"
-#include "online/checkpointed_endpoint.h"
 #include "persist/codec.h"
 #include "persist/journal.h"
 #include "persist/snapshot.h"
 #include "pinpoint_equal.h"
 #include "pinpoint_render.h"
 #include "runtime/flaky_endpoint.h"
-#include "runtime/hung_endpoint.h"
 #include "runtime/slave_registry.h"
 #include "runtime/socket.h"
 #include "runtime/socket_endpoint.h"
@@ -161,6 +161,21 @@ TEST(SocketTransport, RoundTripsOverTcpLoopback) {
 }
 
 // --- Connection failures ----------------------------------------------------
+
+TEST(SocketTransport, StopWakesTheServeLoopAtOnce) {
+  core::FChainSlave slave = makeSlave(0, {0});
+  core::SlaveServiceConfig service_config;
+  service_config.listen = SocketAddress::unixPath(unixSpec("stop_wakes"));
+  core::SlaveService service(slave, service_config);
+  service.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto begin = std::chrono::steady_clock::now();
+  service.stop();
+  const double stop_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - begin)
+                             .count();
+  EXPECT_LT(stop_ms, 100.0);
+}
 
 TEST(SocketTransport, UnreachableServerIsUnavailableAfterBoundedRetries) {
   SocketEndpointConfig config =
