@@ -8,6 +8,7 @@
 #include "obs/trace.h"
 #include "signal/burst.h"
 #include "signal/scratch.h"
+#include "signal/sliding_max.h"
 #include "signal/smoothing.h"
 
 namespace fchain::core {
@@ -85,11 +86,55 @@ std::optional<MetricFinding> AbnormalChangeSelector::analyzeMetric(
   const TimeSec window_end = std::min(series.endTime(), violation_time + 1);
   const auto raw = series.window(window_start, window_end);
   if (raw.size() < config_.cusum.min_segment * 2) return std::nullopt;
-
-  // 1. Smooth + detect change points.
   const std::size_t smooth_half = config_.adaptive_smoothing
                                       ? adaptiveSmoothHalf(raw, scratch)
                                       : config_.smooth_half_window;
+
+  // Historical-error floor: what the predictor typically gets wrong on this
+  // metric during normal operation, sampled before the look-back window so
+  // the fault cannot contaminate it. Two subtleties make this comparable to
+  // the observed statistic: (a) the observation is a *max* over the probe
+  // neighbourhood, so the floor is built from the same-width block maxima;
+  // (b) a longer look-back window offers proportionally more candidate
+  // change points (a multiple-testing effect), so the floor percentile
+  // tightens with the window length. Only the dynamic threshold reads it.
+  const bool dynamic_threshold =
+      config_.use_predictability && config_.fixed_error_threshold < 0.0;
+  double error_floor = 0.0;
+  if (dynamic_threshold && config_.history_error_window_sec > 0) {
+    const auto history = errors.window(
+        window_start - config_.history_error_window_sec, window_start);
+    if (history.size() >= 100) {
+      const std::size_t radius = config_.smooth_half_window + 1;
+      const std::span<double> block_max = signal::slidingMaxInto(
+          history, radius, scratch.blockMax(history.size() + 2 * radius));
+      const double window_adjusted_pct =
+          100.0 * (1.0 - 2.0 / static_cast<double>(raw.size()));
+      error_floor = fchain::percentileInPlace(
+          block_max,
+          std::max(config_.history_error_percentile, window_adjusted_pct));
+    }
+  }
+
+  // 0. Pre-screen: a candidate passes the dynamic predictability test (step
+  //    3) only if observed > error_margin x max(error_floor, burst), and its
+  //    observed error is a max over the errors within smooth_half + 1 s of
+  //    a point inside the window. When even the largest error over the
+  //    window widened by that radius is not above error_margin x
+  //    error_floor, no candidate can pass, so the metric has no finding and
+  //    smoothing, CUSUM, the outlier filter and the burst FFT are skipped.
+  //    Exact: both sides of the test take the same NaN-skipping max, and
+  //    the product is monotone for a positive margin (DESIGN.md §6 item 2).
+  if (dynamic_threshold && config_.error_margin > 0.0 && error_floor > 0.0) {
+    const auto radius = static_cast<TimeSec>(smooth_half + 1);
+    double peak = 0.0;
+    for (double e : errors.window(window_start - radius, window_end + radius)) {
+      peak = std::max(peak, e);
+    }
+    if (!(peak > config_.error_margin * error_floor)) return std::nullopt;
+  }
+
+  // 1. Smooth + detect change points.
   const std::vector<double>& smoothed = signal::movingAverageInto(
       raw, smooth_half, scratch.smoothed(raw.size()));
   const std::vector<signal::ChangePoint>& points =
@@ -102,41 +147,6 @@ std::optional<MetricFinding> AbnormalChangeSelector::analyzeMetric(
       signal::outlierChangePointsInto(points, config_.outlier, scratch,
                                       scratch.outliers());
   if (outliers.empty()) return std::nullopt;
-
-  // Historical-error floor: what the predictor typically gets wrong on this
-  // metric during normal operation, sampled before the look-back window so
-  // the fault cannot contaminate it. Two subtleties make this comparable to
-  // the observed statistic: (a) the observation is a *max* over the probe
-  // neighbourhood, so the floor is built from the same-width block maxima;
-  // (b) a longer look-back window offers proportionally more candidate
-  // change points (a multiple-testing effect), so the floor percentile
-  // tightens with the window length.
-  double error_floor = 0.0;
-  if (config_.history_error_window_sec > 0) {
-    const auto history = errors.window(
-        window_start - config_.history_error_window_sec, window_start);
-    if (history.size() >= 100) {
-      const auto radius =
-          static_cast<std::ptrdiff_t>(config_.smooth_half_window + 1);
-      std::vector<double>& block_max = scratch.blockMax(history.size());
-      for (std::ptrdiff_t i = 0;
-           i < static_cast<std::ptrdiff_t>(history.size()); ++i) {
-        double peak = 0.0;
-        const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(0, i - radius);
-        const std::ptrdiff_t hi = std::min<std::ptrdiff_t>(
-            static_cast<std::ptrdiff_t>(history.size()) - 1, i + radius);
-        for (std::ptrdiff_t j = lo; j <= hi; ++j) {
-          peak = std::max(peak, history[static_cast<std::size_t>(j)]);
-        }
-        block_max[static_cast<std::size_t>(i)] = peak;
-      }
-      const double window_adjusted_pct =
-          100.0 * (1.0 - 2.0 / static_cast<double>(raw.size()));
-      error_floor = fchain::percentileInPlace(
-          block_max,
-          std::max(config_.history_error_percentile, window_adjusted_pct));
-    }
-  }
 
   // Robust scale of the window: only the Fixed-Filtering variant reads it.
   const double window_scale =

@@ -1,6 +1,10 @@
 // Abnormal change point selection (paper §II-B).
 //
 // Inside the look-back window [tv - W, tv] the selector:
+//   0. pre-screens the metric: when no prediction error near the window
+//      exceeds error_margin x the history error floor, no candidate can
+//      pass step 3, so the metric has no finding and steps 1-4 are skipped
+//      (exact; DESIGN.md §6 item 2);
 //   1. smooths the raw samples and runs CUSUM + bootstrap change point
 //      detection — this finds *many* change points on a fluctuating metric;
 //   2. keeps only change-magnitude outliers (the PAL pre-filter);

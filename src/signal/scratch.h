@@ -87,7 +87,7 @@ class SignalScratch {
   //   shuffle    bootstrap buffer: the mean-centred segment that the
   //              bootstrap's 8-round groups gather from
   //   burst      burst-signal magnitudes
-  //   blockMax   history-error block maxima
+  //   blockMax   history-error block maxima (slidingMaxInto's padded lane)
   //   diffs      adaptive-smoothing first differences
   //   statsA/B   work buffers for percentileInPlace / medianAbsDeviation;
   //              reserved for the stats helpers, never a kernel input.

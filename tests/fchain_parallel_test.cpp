@@ -19,6 +19,7 @@
 #include "pinpoint_equal.h"
 #include "runtime/flaky_endpoint.h"
 #include "runtime/worker_pool.h"
+#include "scoped_trace.h"
 #include "sim/simulator.h"
 
 namespace fchain::core {
@@ -328,11 +329,12 @@ TEST(ParallelLocalize, TracedLocalizeEmitsPipelineSpans) {
   // untouched by tracing.
   const PinpointResult reference = localizeHealthy(0);
   obs::Tracer& tracer = obs::tracer();
-  const bool was_enabled = tracer.enabled();
-  tracer.setEnabled(true);
-  tracer.clear();
-  const PinpointResult traced = localizeHealthy(2);
-  tracer.setEnabled(was_enabled);
+  PinpointResult traced;
+  {
+    const obs::ScopedGlobalTrace tracing(true);
+    tracer.clear();
+    traced = localizeHealthy(2);
+  }
   EXPECT_TRUE(samePinpoint(reference, traced));
 
   std::set<std::string> names;

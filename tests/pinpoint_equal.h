@@ -14,20 +14,20 @@
 
 namespace fchain::core {
 
+inline bool sameMetricFinding(const MetricFinding& a, const MetricFinding& b) {
+  return a.metric == b.metric && a.onset == b.onset &&
+         a.change_point == b.change_point && a.trend == b.trend &&
+         a.prediction_error == b.prediction_error &&
+         a.expected_error == b.expected_error;
+}
+
 inline bool sameFinding(const ComponentFinding& a, const ComponentFinding& b) {
   if (a.component != b.component || a.onset != b.onset || a.trend != b.trend ||
       a.metrics.size() != b.metrics.size()) {
     return false;
   }
   for (std::size_t i = 0; i < a.metrics.size(); ++i) {
-    const MetricFinding& ma = a.metrics[i];
-    const MetricFinding& mb = b.metrics[i];
-    if (ma.metric != mb.metric || ma.onset != mb.onset ||
-        ma.change_point != mb.change_point || ma.trend != mb.trend ||
-        ma.prediction_error != mb.prediction_error ||
-        ma.expected_error != mb.expected_error) {
-      return false;
-    }
+    if (!sameMetricFinding(a.metrics[i], b.metrics[i])) return false;
   }
   return true;
 }

@@ -3,6 +3,8 @@
 // The optimized engine must be provably equivalent to the frozen reference
 // engine (signal/reference.h, a test-only library):
 //   - Smoothing, burst, outlier and rollback kernels: bit-identical.
+//   - The history floor's sliding max: bit-identical to the direct
+//     block-max scan it replaced, on NaN, infinities, -0.0 and denormals.
 //   - CUSUM bootstrap: deterministic (scratch reuse, fresh arenas, a change
 //     of seed or round count, and thread count must not matter), and its
 //     early exit must make exactly the accept/reject decisions a full-round
@@ -13,6 +15,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -23,11 +26,13 @@
 #include "common/stats.h"
 #include "fchain/slave.h"
 #include "pinpoint_equal.h"
+#include "scoped_trace.h"
 #include "signal/burst.h"
 #include "signal/cusum.h"
 #include "signal/outlier.h"
 #include "signal/reference.h"
 #include "signal/scratch.h"
+#include "signal/sliding_max.h"
 #include "signal/smoothing.h"
 #include "signal/tangent.h"
 
@@ -114,6 +119,74 @@ TEST(EngineIdentity, StatelessKernelsMatchReferenceBitExact) {
                 rollbackOnset(xs, points, selected));
     }
   }
+}
+
+/// The history floor's block maxima as the selector computed them before
+/// the sliding-max kernel: a direct scan whose peak starts at +0.0 and whose
+/// std::max(peak, x) drops NaN.
+std::vector<double> directBlockMax(std::span<const double> xs,
+                                   std::size_t radius) {
+  const auto n = static_cast<std::ptrdiff_t>(xs.size());
+  const auto r = static_cast<std::ptrdiff_t>(radius);
+  std::vector<double> out(xs.size());
+  for (std::ptrdiff_t i = 0; i < n; ++i) {
+    double peak = 0.0;
+    const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(0, i - r);
+    const std::ptrdiff_t hi = std::min<std::ptrdiff_t>(n - 1, i + r);
+    for (std::ptrdiff_t j = lo; j <= hi; ++j) {
+      peak = std::max(peak, xs[static_cast<std::size_t>(j)]);
+    }
+    out[static_cast<std::size_t>(i)] = peak;
+  }
+  return out;
+}
+
+TEST(EngineIdentity, SlidingMaxMatchesDirectScanBitExact) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  // Specials the floor can meet in a prediction-error history; the repeated
+  // values make ties, the negatives and -0.0 must all read as +0.0.
+  const std::array<double, 12> palette{
+      0.0, -0.0, nan, inf, tiny, 3 * tiny, -tiny, -2.5, 0.5, 0.5, 1.0, -inf};
+  // Capacity past every n + 2r: the lane's spare capacity is then poisoned
+  // under _GLIBCXX_SANITIZE_VECTOR, so a read past size() fails the build
+  // that defines it instead of silently reading a stale value.
+  std::vector<double> lane;
+  lane.reserve(2048);
+  std::size_t zero_outputs = 0, inf_outputs = 0, tiny_outputs = 0;
+  for (std::size_t n : {100u, 101u, 899u, 900u, 901u}) {
+    fchain::Rng rng(n);
+    std::vector<double> xs(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      // Runs of specials with gaussian stretches in between, so windows of
+      // only NaN / negatives / denormals occur as well as mixed ones.
+      const std::size_t run = (i / 9) % 3;
+      xs[i] = run == 0 ? rng.gaussian(0.0, 1.0)
+              : run == 1 ? palette[rng.below(palette.size())]
+                         : palette[rng.below(5)];
+    }
+    for (std::size_t radius = 0; radius <= 4; ++radius) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " r=" << radius);
+      const std::span<double> out = slidingMaxInto(xs, radius, lane);
+      ASSERT_EQ(lane.size(), n + 2 * radius);
+      ASSERT_EQ(out.data(), lane.data());
+      ASSERT_EQ(out.size(), n);
+      const std::vector<double> want = directBlockMax(xs, radius);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+                  std::bit_cast<std::uint64_t>(want[i]))
+            << "i=" << i << " got " << out[i] << " want " << want[i];
+        zero_outputs += want[i] == 0.0;
+        inf_outputs += want[i] == inf;
+        tiny_outputs += want[i] > 0.0 && want[i] < 1e-300;
+      }
+    }
+  }
+  // The sweep must reach the edge cases it is about.
+  EXPECT_GT(zero_outputs, 0u);
+  EXPECT_GT(inf_outputs, 0u);
+  EXPECT_GT(tiny_outputs, 0u);
 }
 
 TEST(EngineIdentity, PooledModeIsDeterministicAcrossArenasAndReuse) {
@@ -278,11 +351,19 @@ TEST(EngineIdentity, SteadyStateKernelChainAllocatesNothing) {
   const std::uint64_t grow_before = scratch.stats().grow_events;
 
   // gtest assertions may themselves allocate, so collect inside the counted
-  // window and assert outside it.
+  // window and assert outside it. The claim is about the kernels: a span
+  // recorded by the global tracer (a FCHAIN_TRACE=1 run) allocates, so the
+  // counted window runs untraced. The warm-up above ran with tracing as the
+  // environment set it, so the equality check still compares against it.
   std::array<double, 5> repeats{};
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  for (double& r : repeats) r = run_chain();
-  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  std::size_t before = 0;
+  std::size_t after = 0;
+  {
+    const obs::ScopedGlobalTrace untraced(false);
+    before = g_allocations.load(std::memory_order_relaxed);
+    for (double& r : repeats) r = run_chain();
+    after = g_allocations.load(std::memory_order_relaxed);
+  }
   for (double r : repeats) {
     EXPECT_EQ(r, warm);  // reuse must not change results either
   }

@@ -10,7 +10,7 @@
 #include <span>
 
 #include "common/rng.h"
-#include "obs/trace.h"
+#include "scoped_trace.h"
 #include "signal/burst.h"
 #include "signal/fft.h"
 
@@ -117,18 +117,16 @@ TEST(Fft, QWindowRoundTripAllocatesOncePerDirection) {
   // The claim is about the *kernel*: recording a profiling span (e.g. a
   // FCHAIN_TRACE=1 CI run) legitimately allocates, so silence the global
   // tracer around the counted region.
-  obs::Tracer& tracer = obs::tracer();
-  const bool trace_was_enabled = tracer.enabled();
-  tracer.setEnabled(false);
-
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  auto spectrum = fftReal(xs);
-  const std::size_t after_forward =
-      g_allocations.load(std::memory_order_relaxed);
-  auto back = ifftToReal(std::move(spectrum), kQWindow);
-  const std::size_t after_inverse =
-      g_allocations.load(std::memory_order_relaxed);
-  tracer.setEnabled(trace_was_enabled);
+  std::size_t before = 0, after_forward = 0, after_inverse = 0;
+  std::vector<double> back;
+  {
+    const obs::ScopedGlobalTrace untraced(false);
+    before = g_allocations.load(std::memory_order_relaxed);
+    auto spectrum = fftReal(xs);
+    after_forward = g_allocations.load(std::memory_order_relaxed);
+    back = ifftToReal(std::move(spectrum), kQWindow);
+    after_inverse = g_allocations.load(std::memory_order_relaxed);
+  }
 
   EXPECT_EQ(after_forward - before, 1u);
   EXPECT_EQ(after_inverse - after_forward, 1u);
