@@ -116,9 +116,6 @@ eval::Outcome classify(const std::vector<ComponentId>& truth,
                        const IncidentFacts& incident) {
   if (!incident.fired) return eval::Outcome::Missed;
   if (incident.violation_time < fault_start) return eval::Outcome::FalseAlarm;
-  if (incident.watchdog_trips + incident.deadline_skips > 0) {
-    return eval::Outcome::TimedOut;
-  }
   if (external_fault) {
     // No component is at fault; the correct verdict is "external cause".
     // Blaming components for an external factor is the classic false alarm
@@ -246,8 +243,6 @@ EpisodeRecord runEpisode(const EpisodeSpec& spec,
     record.incident.external_verdict = incident.result.external_factor;
     record.incident.pinpointed = incident.result.pinpointed;
     record.incident.coverage = incident.result.coverage;
-    record.incident.watchdog_trips = incident.watchdog_trips_delta;
-    record.incident.deadline_skips = incident.deadline_skips_delta;
   }
 
   record.outcome = classify(record.truth, spec.externalFault(), fault_start,

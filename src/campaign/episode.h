@@ -11,7 +11,6 @@
 // components at the restart tick, exactly like the crash-recovery tier.
 #pragma once
 
-#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -30,10 +29,6 @@ struct IncidentFacts {
   bool external_verdict = false;
   std::vector<ComponentId> pinpointed;  ///< sorted ascending
   double coverage = 1.0;
-  /// Deterministic supervision deltas for this localization (see
-  /// online::OnlineIncident) — nonzero means the analysis was curtailed.
-  std::size_t watchdog_trips = 0;
-  std::size_t deadline_skips = 0;
 };
 
 /// Classifies one episode outcome against ground truth. `truth` is the

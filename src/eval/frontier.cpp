@@ -51,7 +51,6 @@ std::string_view outcomeName(Outcome outcome) {
     case Outcome::ExternalCauseCorrect: return "external_cause_correct";
     case Outcome::FalseAlarm: return "false_alarm";
     case Outcome::Missed: return "missed";
-    case Outcome::TimedOut: return "timed_out";
   }
   return "unknown";
 }
@@ -113,8 +112,8 @@ void writeFrontierMarkdown(std::ostream& out, const FrontierReport& report) {
 
   out << "## Accuracy vs. intensity (per fault type)\n\n";
   out << "| fault | intensity | correct | localized | mislocalized | "
-         "external-correct | false-alarm | missed | timed-out |\n";
-  out << "|---|---|---|---|---|---|---|---|---|\n";
+         "external-correct | false-alarm | missed |\n";
+  out << "|---|---|---|---|---|---|---|---|\n";
   for (const FrontierCell& cell : report.cells) {
     out << "| " << cell.fault << " | " << num(cell.intensity) << " | "
         << num(cell.outcomes.correctRate());

@@ -28,18 +28,15 @@ namespace fchain::eval {
 ///                        components were blamed for an external factor
 ///   Missed               the fault was active but no incident fired, or
 ///                        analysis produced an empty verdict
-///   TimedOut             supervision (watchdog trip / localize deadline)
-///                        curtailed the analysis
 enum class Outcome : std::uint8_t {
   Localized,
   Mislocalized,
   ExternalCauseCorrect,
   FalseAlarm,
   Missed,
-  TimedOut,
 };
 
-inline constexpr std::size_t kOutcomeCount = 6;
+inline constexpr std::size_t kOutcomeCount = 5;
 
 std::string_view outcomeName(Outcome outcome);
 

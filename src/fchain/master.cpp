@@ -22,6 +22,9 @@ constexpr std::uint64_t kDiscoverySalt = 0xd15c0ull;
 
 }  // namespace
 
+FChainMaster::FChainMaster(FChainConfig config, runtime::RetryPolicy retry)
+    : config_(config), retry_(retry), pinpointer_(config) {}
+
 FChainMaster::~FChainMaster() = default;
 
 void FChainMaster::addEndpoint(
@@ -38,10 +41,8 @@ void FChainMaster::addEndpoint(
   }
   registered_.insert(identity);
   for (ComponentId id : components) routes_.emplace(id, endpoints_.size());
-  endpoints_.push_back({std::move(endpoint), health,
-                        std::make_shared<std::mutex>(),
-                        runtime::CircuitBreaker(watchdog_.breaker_trip_after,
-                                                watchdog_.breaker_probe_after)});
+  endpoints_.push_back(
+      {std::move(endpoint), health, std::make_unique<std::mutex>()});
 }
 
 void FChainMaster::registerSlave(FChainSlave* slave) {
@@ -121,14 +122,6 @@ void FChainMaster::setWorkerThreads(int threads) {
                        : nullptr;
 }
 
-void FChainMaster::setWatchdog(runtime::WatchdogConfig config) {
-  watchdog_ = config;
-  for (Endpoint& ep : endpoints_) {
-    ep.breaker = runtime::CircuitBreaker(config.breaker_trip_after,
-                                         config.breaker_probe_after);
-  }
-}
-
 void FChainMaster::recordOutcome(Endpoint& ep, bool ok) {
   const HealthState before = ep.health.state();
   if (ok) {
@@ -157,9 +150,6 @@ void FChainMaster::mergeStats(const MasterRuntimeStats& delta) {
   metric_retries_.add(delta.retries);
   metric_failures_.add(delta.failures);
   metric_backoff_ms_.add(delta.simulated_backoff_ms);
-  metric_watchdog_trips_.add(delta.watchdog_trips);
-  metric_breaker_opens_.add(delta.breaker_opens);
-  metric_deadline_skips_.add(delta.deadline_skips);
 }
 
 PinpointResult FChainMaster::localize(
@@ -172,16 +162,8 @@ PinpointResult FChainMaster::localize(
   if (incident_journal_ != nullptr) {
     incident_id = incident_journal_->logStart(components, violation_time);
   }
-  Deadline deadline;
-  if (watchdog_.localize_deadline_ms > 0.0) {
-    deadline = std::chrono::steady_clock::now() +
-               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double, std::milli>(
-                       watchdog_.localize_deadline_ms));
-  }
   const std::uint64_t start_us = obs::tracer().now();
-  PinpointResult result =
-      localizeBatches(components, violation_time, deadline);
+  PinpointResult result = localizeBatches(components, violation_time);
   // Guarded difference: an injected logical clock may not be monotonic.
   const std::uint64_t end_us = obs::tracer().now();
   metric_localize_ms_.observe(
@@ -191,33 +173,19 @@ PinpointResult FChainMaster::localize(
   return result;
 }
 
-void FChainMaster::runBatchJob(BatchJob& job, TimeSec violation_time,
-                               Deadline deadline) {
+void FChainMaster::runBatchJob(BatchJob& job, TimeSec violation_time) {
   FCHAIN_SPAN_VAR(span, "master.batch");
   span.arg("n", static_cast<std::int64_t>(job.ids.size()));
   Endpoint& ep = endpoints_[job.endpoint_index];
-  if (!ep.breaker.allowRequest()) {
-    // Breaker open after repeated hangs: the whole batch goes straight to
-    // degraded-mode coverage (unanswered -> unanalyzed).
-    return;
-  }
-  const bool use_watchdog = watchdog_.call_timeout_ms > 0.0;
-  // Without the watchdog, hold the endpoint for the whole retry sequence:
-  // requests to one slave stay strictly ordered even when other localize()
-  // calls run in parallel. With it, each attempt locks inside the
-  // sacrificial thread so an abandoned call cannot park this pool worker.
-  std::unique_lock<std::mutex> endpoint_lock;
-  if (!use_watchdog) {
-    endpoint_lock = std::unique_lock<std::mutex>(*ep.lock);
-  }
+  // Hold the endpoint for the whole retry sequence: requests to one slave
+  // stay strictly ordered even when other localize() calls run in parallel.
+  // A slave that never answers is bounded by the transport: each request
+  // carries retry_.request_deadline_ms, and a Down endpoint gets one attempt.
+  const std::lock_guard<std::mutex> endpoint_lock(*ep.lock);
   const int attempts = ep.health.state() == HealthState::Down
                            ? 1
                            : std::max(1, retry_.max_attempts);
   for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (deadline && std::chrono::steady_clock::now() >= *deadline) {
-      job.stats.deadline_skips += job.ids.size();
-      return;
-    }
     runtime::AnalyzeBatchRequest request;
     request.components = job.ids;
     request.violation_time = violation_time;
@@ -233,27 +201,7 @@ void FChainMaster::runBatchJob(BatchJob& job, TimeSec violation_time,
           mixSeed(static_cast<std::uint64_t>(violation_time), job.ids.front(),
                   static_cast<std::uint64_t>(attempt)));
     }
-    runtime::AnalyzeBatchReply reply;
-    if (use_watchdog) {
-      const auto endpoint = ep.endpoint;
-      const auto lock = ep.lock;
-      auto bounded = runtime::callWithWallTimeout(
-          [endpoint, lock, request] {
-            std::lock_guard<std::mutex> g(*lock);
-            return endpoint->analyzeBatch(request);
-          },
-          watchdog_.call_timeout_ms);
-      if (!bounded.has_value()) {
-        ++job.stats.watchdog_trips;
-        if (ep.breaker.recordTrip()) ++job.stats.breaker_opens;
-        recordOutcome(ep, false);
-        break;  // a wedged endpoint: stop burning the deadline on retries
-      }
-      ep.breaker.recordCompletion();
-      reply = std::move(*bounded);
-    } else {
-      reply = ep.endpoint->analyzeBatch(request);
-    }
+    runtime::AnalyzeBatchReply reply = ep.endpoint->analyzeBatch(request);
     if (reply.status == EndpointStatus::Ok &&
         reply.findings.size() == job.ids.size()) {
       recordOutcome(ep, true);
@@ -267,8 +215,7 @@ void FChainMaster::runBatchJob(BatchJob& job, TimeSec violation_time,
 }
 
 PinpointResult FChainMaster::localizeBatches(
-    const std::vector<ComponentId>& components, TimeSec violation_time,
-    Deadline deadline) {
+    const std::vector<ComponentId>& components, TimeSec violation_time) {
   // Group components by slave, preserving caller order within each group:
   // one batch job per endpoint that monitors anything in this application.
   std::vector<BatchJob> jobs;
@@ -293,14 +240,13 @@ PinpointResult FChainMaster::localizeBatches(
     FCHAIN_SPAN_VAR(fanout, "master.fanout");
     fanout.arg("jobs", static_cast<std::int64_t>(jobs.size()));
     if (pool_ == nullptr) {
-      for (BatchJob& job : jobs) runBatchJob(job, violation_time, deadline);
+      for (BatchJob& job : jobs) runBatchJob(job, violation_time);
     } else {
       std::vector<std::function<void()>> tasks;
       tasks.reserve(jobs.size());
       for (BatchJob& job : jobs) {
-        tasks.push_back([this, &job, violation_time, deadline] {
-          runBatchJob(job, violation_time, deadline);
-        });
+        tasks.push_back(
+            [this, &job, violation_time] { runBatchJob(job, violation_time); });
       }
       pool_->run(std::move(tasks));
       // The fan-out is a barrier, so the pool queue must be empty again;

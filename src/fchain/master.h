@@ -27,7 +27,6 @@
 // bit-identical at every thread count.
 #pragma once
 
-#include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -39,10 +38,8 @@
 #include "fchain/slave.h"
 #include "obs/metrics.h"
 #include "persist/journal.h"
-#include "runtime/breaker.h"
 #include "runtime/endpoint.h"
 #include "runtime/health.h"
-#include "runtime/watchdog.h"
 
 namespace fchain::runtime {
 class WorkerPool;
@@ -60,18 +57,14 @@ struct MasterRuntimeStats {
   std::size_t retries = 0;    ///< attempts beyond the first per request
   std::size_t failures = 0;   ///< components whose retry budget ran out
   double simulated_backoff_ms = 0.0;  ///< total backoff the schedule imposed
-  // Watchdog bookkeeping (all zero unless setWatchdog() enabled it).
-  std::size_t watchdog_trips = 0;   ///< endpoint calls abandoned on timeout
-  std::size_t breaker_opens = 0;    ///< circuit breakers opened by trips
-  std::size_t deadline_skips = 0;   ///< components shed by the deadline
 };
 
 /// What the online monitor hands a latched incident to: a single
 /// FChainMaster or the sharded fleet::FleetMaster. The monitor registers
 /// each slave's transport here, installs the application's dependency graph
-/// before each fan-out, and reads its own instruments and the supervision
-/// counters from this tier's registry. Nothing owns a tier through this
-/// interface, so its destructor is protected.
+/// before each fan-out, and keeps its own instruments in this tier's
+/// registry. Nothing owns a tier through this interface, so its destructor
+/// is protected.
 class LocalizationTier {
  public:
   /// Registers a slave behind `endpoint`, which monitors `components`.
@@ -93,8 +86,7 @@ class LocalizationTier {
 class FChainMaster final : public LocalizationTier {
  public:
   explicit FChainMaster(FChainConfig config = {},
-                        runtime::RetryPolicy retry = {})
-      : config_(config), retry_(retry), pinpointer_(config) {}
+                        runtime::RetryPolicy retry = {});
   ~FChainMaster();
 
   /// Registers an in-process slave (wrapped in a runtime::LocalEndpoint);
@@ -124,15 +116,6 @@ class FChainMaster final : public LocalizationTier {
     dependencies_ = std::move(graph);
   }
 
-  /// Enables wall-time bounding of localization (see runtime/watchdog.h):
-  /// per-call watchdog, whole-localize deadline, and per-endpoint circuit
-  /// breakers that shed repeatedly hanging endpoints into degraded-mode
-  /// coverage. Off by default — with the zero config, localization behaviour
-  /// is bit-identical to a master without a watchdog. Resets every
-  /// endpoint's breaker to the new thresholds.
-  void setWatchdog(runtime::WatchdogConfig config);
-  const runtime::WatchdogConfig& watchdog() const { return watchdog_; }
-
   /// Attaches the master's incident journal (nullptr detaches; not owned,
   /// must outlive the master). Every localize() records its input to the
   /// journal before fan-out and marks it done afterwards, so a master crash
@@ -153,9 +136,6 @@ class FChainMaster final : public LocalizationTier {
 
   /// This master's metric registry. Registry metric names:
   ///   master.requests / master.retries / master.failures   (counters)
-  ///   master.watchdog_trips  (counter: endpoint calls abandoned on timeout)
-  ///   master.breaker_opens   (counter: circuit breakers opened)
-  ///   master.deadline_skips  (counter: components shed by the deadline)
   ///   master.endpoint_state.healthy / .degraded / .down
   ///                          (counters: health-state *transitions* into
   ///                           each state, across all endpoints)
@@ -183,17 +163,9 @@ class FChainMaster final : public LocalizationTier {
     std::shared_ptr<runtime::SlaveEndpoint> endpoint;
     runtime::EndpointHealth health;
     /// Serializes requests to this endpoint across pool workers and across
-    /// concurrent localize() calls. shared_ptr (not unique_ptr) on purpose:
-    /// a watchdog sacrificial thread locks it *inside* the thread and may
-    /// outlive any given localize() call — capturing the shared_ptr by
-    /// value keeps the mutex alive for the abandoned call.
-    std::shared_ptr<std::mutex> lock;
-    /// Opens after repeated watchdog trips; see runtime/breaker.h.
-    runtime::CircuitBreaker breaker;
+    /// concurrent localize() calls (heap-held so endpoints_ can grow).
+    std::unique_ptr<std::mutex> lock;
   };
-
-  /// Wall-clock cutoff for one localize() (nullopt = no deadline).
-  using Deadline = std::optional<std::chrono::steady_clock::time_point>;
 
   /// One per-slave unit of the fan-out.
   struct BatchJob {
@@ -215,12 +187,11 @@ class FChainMaster final : public LocalizationTier {
 
   /// Groups `components` by slave and runs one batch job per slave.
   PinpointResult localizeBatches(const std::vector<ComponentId>& components,
-                                 TimeSec violation_time, Deadline deadline);
+                                 TimeSec violation_time);
   /// Issues one batch (with retries) to the job's endpoint, on a pool worker
-  /// or, without a pool, on the caller. Without the watchdog it holds the
-  /// endpoint's mutex for the whole retry sequence; with it, each attempt
-  /// locks inside the sacrificial thread.
-  void runBatchJob(BatchJob& job, TimeSec violation_time, Deadline deadline);
+  /// or, without a pool, on the caller, holding the endpoint's mutex for the
+  /// whole retry sequence.
+  void runBatchJob(BatchJob& job, TimeSec violation_time);
   void mergeStats(const MasterRuntimeStats& delta);
   /// Records a request outcome on the endpoint's health and bumps the
   /// endpoint_state transition counter when the state changed.
@@ -237,12 +208,6 @@ class FChainMaster final : public LocalizationTier {
   obs::Counter& metric_requests_ = registry_.counter("master.requests");
   obs::Counter& metric_retries_ = registry_.counter("master.retries");
   obs::Counter& metric_failures_ = registry_.counter("master.failures");
-  obs::Counter& metric_watchdog_trips_ =
-      registry_.counter("master.watchdog_trips");
-  obs::Counter& metric_breaker_opens_ =
-      registry_.counter("master.breaker_opens");
-  obs::Counter& metric_deadline_skips_ =
-      registry_.counter("master.deadline_skips");
   obs::Counter& metric_state_healthy_ =
       registry_.counter("master.endpoint_state.healthy");
   obs::Counter& metric_state_degraded_ =
@@ -259,7 +224,6 @@ class FChainMaster final : public LocalizationTier {
   std::set<const void*> registered_;  ///< raw identity of slaves/endpoints
   netdep::DependencyGraph dependencies_;
   std::unique_ptr<runtime::WorkerPool> pool_;  ///< null = run jobs inline
-  runtime::WatchdogConfig watchdog_;  ///< zeros = watchdog off
   persist::IncidentJournal* incident_journal_ = nullptr;  ///< not owned
 };
 

@@ -2,16 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 
 #include "obs/trace.h"
-#include "runtime/worker_pool.h"
 
 namespace fchain::core {
-
-FChainSlave::~FChainSlave() = default;
-FChainSlave::FChainSlave(FChainSlave&&) noexcept = default;
-FChainSlave& FChainSlave::operator=(FChainSlave&&) noexcept = default;
 
 namespace {
 
@@ -167,29 +161,10 @@ std::vector<std::optional<ComponentFinding>> FChainSlave::analyzeBatch(
     const std::vector<ComponentId>& ids, TimeSec violation_time) const {
   FCHAIN_SPAN_VAR(span, "slave.analyze_batch");
   span.arg("n", static_cast<std::int64_t>(ids.size()));
-  std::vector<std::optional<ComponentFinding>> findings(ids.size());
-  if (pool_ == nullptr || ids.size() < 2) {
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      findings[i] = analyze(ids[i], violation_time);
-    }
-    return findings;
-  }
-  // analyze() only reads vms_ and the (stateless) selector, so concurrent
-  // per-component calls are safe; each task owns exactly one reply slot.
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    tasks.push_back([this, &findings, &ids, i, violation_time] {
-      findings[i] = analyze(ids[i], violation_time);
-    });
-  }
-  pool_->run(std::move(tasks));
+  std::vector<std::optional<ComponentFinding>> findings;
+  findings.reserve(ids.size());
+  for (ComponentId id : ids) findings.push_back(analyze(id, violation_time));
   return findings;
-}
-
-void FChainSlave::setAnalysisThreads(int threads) {
-  pool_ = threads > 1 ? std::make_unique<runtime::WorkerPool>(threads)
-                      : nullptr;
 }
 
 }  // namespace fchain::core

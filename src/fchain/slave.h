@@ -32,13 +32,12 @@
 #pragma once
 
 #include <array>
-#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "fchain/change_selector.h"
 #include "persist/snapshot.h"
-#include "runtime/worker_pool.h"
 
 namespace fchain::core {
 
@@ -65,9 +64,6 @@ class FChainSlave {
  public:
   explicit FChainSlave(HostId host, FChainConfig config = {})
       : host_(host), selector_(std::move(config)) {}
-  ~FChainSlave();
-  FChainSlave(FChainSlave&&) noexcept;
-  FChainSlave& operator=(FChainSlave&&) noexcept;
 
   HostId host() const { return host_; }
 
@@ -108,18 +104,9 @@ class FChainSlave {
 
   /// Batched master RPC: analyze every listed component against the same
   /// violation time. Returns one slot per requested id, aligned with `ids`
-  /// (nullopt = unknown component or no abnormal change). When analysis
-  /// threads are enabled the per-VM selector runs fan out across the
-  /// slave's worker pool; each component writes only its own pre-allocated
-  /// slot, so the reply is bit-identical to serial analysis regardless of
-  /// scheduling.
+  /// (nullopt = unknown component or no abnormal change).
   std::vector<std::optional<ComponentFinding>> analyzeBatch(
       const std::vector<ComponentId>& ids, TimeSec violation_time) const;
-
-  /// Enables (threads > 1) or disables (<= 1) parallel per-VM analysis for
-  /// analyzeBatch. Deployment-time configuration: size to the host cores
-  /// Domain 0 may burn on diagnosis.
-  void setAnalysisThreads(int threads);
 
   /// Captures the slave's complete learned state — every VM's repaired
   /// metric series, the six per-metric predictors (discretizer calibration,
@@ -162,8 +149,7 @@ class FChainSlave {
 
   HostId host_;
   AbnormalChangeSelector selector_;
-  std::vector<VmEntry> vms_;                   ///< sorted by id
-  std::unique_ptr<runtime::WorkerPool> pool_;  ///< null = serial analysis
+  std::vector<VmEntry> vms_;  ///< sorted by id
 };
 
 }  // namespace fchain::core

@@ -9,7 +9,7 @@
 // the returned reference, which stays valid for the registry's lifetime.
 //
 // FChainMaster owns a registry per instance, the only home of its
-// transport and supervision counters; a process-global registry
+// transport and health counters; a process-global registry
 // (obs::metrics()) is available for instruments that outlive any one
 // component.
 #pragma once

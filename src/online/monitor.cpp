@@ -186,17 +186,11 @@ void OnlineMonitor::fire(std::size_t app, TimeSec tv) {
   incident.violation_time = tv;
   incident.triggered_at = clock_;
   incident.queued_delay_sec = clock_ - tv;
-  const std::uint64_t trips_before = metric_watchdog_trips_.value();
-  const std::uint64_t skips_before = metric_deadline_skips_.value();
   // Dependency knowledge is per-application (see setDependencies): install
   // this app's graph — or the cluster default — for the fan-out. Fires are
   // serialized through latch()/pump(), so the swap cannot race a localize.
   localizer_.setDependencies(state.has_deps ? state.deps : default_deps_);
   incident.result = localizer_.localize(state.spec.components, tv);
-  incident.watchdog_trips_delta =
-      metric_watchdog_trips_.value() - trips_before;
-  incident.deadline_skips_delta =
-      metric_deadline_skips_.value() - skips_before;
   incident.localize_wall_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - wall_start)

@@ -38,11 +38,11 @@
 // As in the paper, the monitor only reports the violation at tv; the fan-out
 // belongs to the localizer it is handed (core::LocalizationTier): one
 // FChainMaster, or the sharded fleet::FleetMaster. The caller configures
-// that localizer (FChainConfig, retries, worker threads, watchdog, incident
-// journal) and keeps it alive for the monitor's lifetime. A default-built
-// monitor owns a default FChainMaster instead. Transports registered
-// through addSlave()/addEndpoint() are registered with the localizer for
-// the analysis RPCs and serve the monitor's streaming ingest RPC
+// that localizer (FChainConfig, retries, worker threads, incident journal)
+// and keeps it alive for the monitor's lifetime. A default-built monitor
+// owns a default FChainMaster instead. Transports registered through
+// addSlave()/addEndpoint() are registered with the localizer for the
+// analysis RPCs and serve the monitor's streaming ingest RPC
 // (runtime::IngestRequest). The monitor keeps no telemetry of its own: the
 // slaves hold the metric streams and the localizer only ever sees their
 // findings. Ingest is fire-and-forget: a lost batch is repaired by the
@@ -136,16 +136,6 @@ struct OnlineIncident {
   TimeSec triggered_at = 0;    ///< sample clock when localize actually ran
   TimeSec queued_delay_sec = 0;  ///< triggered_at - violation_time
   double localize_wall_ms = 0.0;
-  /// Supervision deltas across *this* localization (0 when the watchdog is
-  /// off): endpoint calls abandoned on timeout and components shed by the
-  /// localize deadline, read from the localizer's master.watchdog_trips and
-  /// master.deadline_skips counters (a FleetMaster keeps those in its shard
-  /// masters, so under a fleet both read 0). Unlike localize_wall_ms these
-  /// are deterministic under a deterministic transport, so offline analytics
-  /// (the fault campaign's timed-out classification) can key on them
-  /// without reintroducing wall-clock noise into reports.
-  std::size_t watchdog_trips_delta = 0;
-  std::size_t deadline_skips_delta = 0;
   core::PinpointResult result;
 };
 
@@ -334,11 +324,6 @@ class OnlineMonitor {
       "online.trigger_latency_ms",
       {1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0,
        5000.0, 10000.0});
-  /// The localizer's supervision counters (zero unless it runs a watchdog).
-  const obs::Counter& metric_watchdog_trips_ =
-      registry_.counter("master.watchdog_trips");
-  const obs::Counter& metric_deadline_skips_ =
-      registry_.counter("master.deadline_skips");
 };
 
 }  // namespace fchain::online

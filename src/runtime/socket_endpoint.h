@@ -10,12 +10,15 @@
 //   torn frame (peer died mid-reply), CRC damage,
 //   peer closed mid-RPC                          -> Dropped (retryable)
 //
-// so the PR-4 retry / health / watchdog / circuit-breaker paths drive real
-// I/O errors without modification. Reconnects are bounded per call and
-// paced by the existing deterministic backoff (runtime/health.h,
-// retryDelayMs — here the delay is actually slept, since a real transport
-// has real time). After any non-Ok event the connection is closed: a byte
-// stream that lost framing cannot resync mid-flight.
+// so the master's retry and health paths drive real I/O errors without
+// modification. A request's send and receive are bounded by its
+// deadline_ms (io_timeout_ms when it carries none; the handshake always uses
+// io_timeout_ms), so a slave that never answers returns Timeout instead of
+// hanging the caller. Reconnects are bounded per call and paced by the
+// existing deterministic backoff (runtime/health.h, retryDelayMs — here the
+// delay is actually slept, since a real transport has real time). After any
+// non-Ok event the connection is closed: a byte stream that lost framing
+// cannot resync mid-flight.
 //
 // The handshake pins slave identity: the first successful HelloReply fixes
 // the expected identity hash, and a later reconnect reaching a *different*

@@ -1,12 +1,12 @@
 // Fixed-size worker pool for the parallel localization engine.
 //
-// FChainMaster fans analyze batches out across slave endpoints, and
-// FChainSlave fans per-VM change-point analysis out across cores. Both use
-// this pool: a fixed set of threads spawned once, fed through a shared task
-// queue. Determinism is preserved by construction — tasks write into
-// pre-allocated, disjoint result slots and the coordinator merges them in a
-// fixed order after run() returns, so the schedule can never reorder
-// results.
+// FChainMaster fans analyze batches out across slave endpoints, the fleet
+// fans a localization out across its shards, and the fault campaign runs
+// episodes side by side. All use this pool: a fixed set of threads spawned
+// once, fed through a shared task queue. Determinism is preserved by
+// construction — tasks write into pre-allocated, disjoint result slots and
+// the coordinator merges them in a fixed order after run() returns, so the
+// schedule can never reorder results.
 //
 // The pool knows nothing about FChain types (it lives below the core layer,
 // linking only the standard library), so both fchain_core and future

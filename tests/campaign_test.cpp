@@ -167,15 +167,6 @@ TEST(Classify, ViolationBeforeFaultStartIsFalseAlarm) {
             Outcome::FalseAlarm);
 }
 
-TEST(Classify, CurtailedAnalysisIsTimedOut) {
-  IncidentFacts facts = firedAt(1300, {3});
-  facts.watchdog_trips = 1;
-  EXPECT_EQ(classify({3}, false, 1200, facts), Outcome::TimedOut);
-  facts.watchdog_trips = 0;
-  facts.deadline_skips = 2;
-  EXPECT_EQ(classify({3}, false, 1200, facts), Outcome::TimedOut);
-}
-
 TEST(Classify, ComponentFaultOutcomes) {
   EXPECT_EQ(classify({3}, false, 1200, firedAt(1300, {3})),
             Outcome::Localized);

@@ -1,7 +1,7 @@
 // Crash-tolerance tests: slave snapshot/restore bit-identity, journaled
-// warm restart against the checked-in localization goldens, the
-// deadline-bounded watchdog + circuit breaker, incident-journal replay
-// after a master restart, and the checked-in corrupt-snapshot fixtures.
+// warm restart against the checked-in localization goldens, incident-journal
+// replay after a master restart, and the checked-in corrupt-snapshot
+// fixtures.
 //
 // The warm-restart tests are the tentpole guarantee: a slave that crashes
 // mid-run and recovers from snapshot + journal must drive the *same golden
@@ -10,7 +10,6 @@
 // To regenerate the corrupt-snapshot fixtures after a format change:
 //   FCHAIN_UPDATE_FIXTURES=1 ./build/tests/test_crash_recovery
 #include <array>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -21,14 +20,12 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "fchain/fchain.h"
 #include "fchain/recovery.h"
-#include "hung_endpoint.h"
 #include "netdep/dependency.h"
 #include "persist/codec.h"
 #include "pinpoint_render.h"
@@ -365,166 +362,6 @@ TEST(Checkpointer, RefusesToOverwritePersistedStateWithFreshSlave) {
   fresh2.addComponent(0, 0);
   SlaveCheckpointer discarded(fresh2, dir, discard);
   EXPECT_EQ(SlaveCheckpointer::recover(dir, 0).replayed, 0u);
-}
-
-// --- Watchdog, deadline, breaker ------------------------------------------
-
-/// Two-slave deployment with shallow flat history; the back slave is wrapped
-/// in a HungEndpoint so tests can wedge it on demand.
-struct HungDeployment {
-  std::unique_ptr<FChainSlave> front;
-  std::unique_ptr<FChainSlave> back;
-  std::shared_ptr<runtime::HungEndpoint> hung;
-  std::unique_ptr<FChainMaster> master;
-};
-
-HungDeployment makeHungDeployment() {
-  HungDeployment d;
-  d.front = std::make_unique<FChainSlave>(0);
-  d.back = std::make_unique<FChainSlave>(1);
-  d.front->addComponent(0, 0);
-  d.front->addComponent(1, 0);
-  d.back->addComponent(2, 0);
-  d.back->addComponent(3, 0);
-  std::array<double, kMetricCount> sample{};
-  for (TimeSec t = 0; t < 400; ++t) {
-    sample.fill(0.4 + 0.2 * std::sin(0.1 * static_cast<double>(t)));
-    for (ComponentId id = 0; id < 4; ++id) {
-      (id < 2 ? *d.front : *d.back).ingestAt(id, t, sample);
-    }
-  }
-  d.hung = std::make_shared<runtime::HungEndpoint>(
-      std::make_shared<runtime::LocalEndpoint>(d.back.get()));
-  d.master = std::make_unique<FChainMaster>();
-  d.master->registerSlave(d.front.get());
-  d.master->registerEndpoint(d.hung, {2, 3});
-  return d;
-}
-
-void drainHung(runtime::HungEndpoint& hung) {
-  hung.release();
-  while (hung.inFlight() > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
-
-TEST(Watchdog, HungEndpointIsBoundedIntoDegradedCoverage) {
-  HungDeployment d = makeHungDeployment();
-  runtime::WatchdogConfig config;
-  config.call_timeout_ms = 100.0;
-  config.breaker_trip_after = 1;
-  config.breaker_probe_after = 1;  // every denial lets a probe through
-  d.master->setWatchdog(config);
-
-  d.hung->hang();
-  const auto start = std::chrono::steady_clock::now();
-  const PinpointResult result = d.master->localize({0, 1, 2, 3}, 380);
-  const double elapsed_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - start)
-          .count();
-
-  // The wedged slave cost at most ~2 call timeouts, not forever.
-  EXPECT_LT(elapsed_ms, 5000.0);
-  EXPECT_EQ(result.unanalyzed, (std::vector<ComponentId>{2, 3}));
-  EXPECT_DOUBLE_EQ(result.coverage, 0.5);
-  const auto snap = d.master->metrics().snapshot();
-  EXPECT_GE(snap.counters.at("master.watchdog_trips"), 1u);
-  EXPECT_EQ(snap.counters.at("master.breaker_opens"), 1u);
-
-  // Un-wedge, drain the abandoned sacrificial calls, and the endpoint is
-  // back in coverage on the very next localize (probe completes -> closed).
-  drainHung(*d.hung);
-  const PinpointResult healed = d.master->localize({0, 1, 2, 3}, 380);
-  EXPECT_DOUBLE_EQ(healed.coverage, 1.0);
-  EXPECT_TRUE(healed.unanalyzed.empty());
-}
-
-TEST(Watchdog, OpenBreakerShedsWithoutSpendingWallTime) {
-  HungDeployment d = makeHungDeployment();
-  runtime::WatchdogConfig config;
-  config.call_timeout_ms = 50.0;
-  config.breaker_trip_after = 1;
-  config.breaker_probe_after = 100;  // effectively no probes in this test
-  d.master->setWatchdog(config);
-
-  d.hung->hang();
-  (void)d.master->localize({0, 1, 2, 3}, 380);  // opens the breaker
-
-  // With the breaker open, further localizations shed 2/3 instantly.
-  const auto start = std::chrono::steady_clock::now();
-  const PinpointResult result = d.master->localize({0, 1, 2, 3}, 380);
-  const double elapsed_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - start)
-          .count();
-  EXPECT_EQ(result.unanalyzed, (std::vector<ComponentId>{2, 3}));
-  EXPECT_LT(elapsed_ms, 50.0);  // no watchdog wait was spent at all
-  drainHung(*d.hung);
-}
-
-TEST(Watchdog, LocalizeDeadlineShedsRemainingComponents) {
-  HungDeployment d = makeHungDeployment();
-  runtime::WatchdogConfig config;
-  config.localize_deadline_ms = 1e-6;  // expires essentially immediately
-  d.master->setWatchdog(config);
-  const PinpointResult result = d.master->localize({0, 1, 2, 3}, 380);
-  EXPECT_EQ(result.unanalyzed, (std::vector<ComponentId>{0, 1, 2, 3}));
-  EXPECT_DOUBLE_EQ(result.coverage, 0.0);
-  EXPECT_EQ(
-      d.master->metrics().snapshot().counters.at("master.deadline_skips"), 4u);
-}
-
-TEST(Watchdog, ParallelFanOutAlsoBoundsHungEndpoint) {
-  HungDeployment d = makeHungDeployment();
-  d.master->setWorkerThreads(2);
-  runtime::WatchdogConfig config;
-  config.call_timeout_ms = 100.0;
-  config.breaker_trip_after = 1;
-  d.master->setWatchdog(config);
-  d.hung->hang();
-  const PinpointResult result = d.master->localize({0, 1, 2, 3}, 380);
-  EXPECT_EQ(result.unanalyzed, (std::vector<ComponentId>{2, 3}));
-  EXPECT_DOUBLE_EQ(result.coverage, 0.5);
-  EXPECT_GE(
-      d.master->metrics().snapshot().counters.at("master.watchdog_trips"), 1u);
-  drainHung(*d.hung);
-}
-
-TEST(Watchdog, ZeroConfigIsBitIdenticalToLegacyBehaviour) {
-  // The watchdog must be a pure opt-in: with the zero config the result
-  // renders to the same bytes as a master that never heard of it.
-  sim::CrashInjector no_crashes;
-  CrashRun run = runIncidentWithCrashes({cpuHogOnDb()}, /*seed=*/77,
-                                        no_crashes, tempDir("wd_zero"));
-  FChainMaster with;
-  with.setWatchdog(runtime::WatchdogConfig{});
-  with.registerSlave(run.front.get());
-  with.registerSlave(run.back.get());
-  with.setDependencies(run.deps);
-  const auto result = with.localize({0, 1, 2, 3}, run.tv);
-  EXPECT_EQ(renderPinpoint(result, run.tv), readGolden("single_fault"));
-  EXPECT_EQ(with.metrics().snapshot().counters.at("master.watchdog_trips"), 0u);
-}
-
-TEST(CircuitBreaker, TripsProbesAndCloses) {
-  runtime::CircuitBreaker breaker(/*trip_after=*/2, /*probe_after=*/3);
-  EXPECT_TRUE(breaker.allowRequest());
-  EXPECT_FALSE(breaker.recordTrip());  // 1 of 2
-  EXPECT_FALSE(breaker.open());
-  EXPECT_TRUE(breaker.recordTrip());  // opens
-  EXPECT_TRUE(breaker.open());
-  EXPECT_EQ(breaker.totalOpens(), 1u);
-  EXPECT_EQ(breaker.totalTrips(), 2u);
-  // While open: two denials, then the third request probes.
-  EXPECT_FALSE(breaker.allowRequest());
-  EXPECT_FALSE(breaker.allowRequest());
-  EXPECT_TRUE(breaker.allowRequest());
-  // The probe completed -> closed, and a completion resets the trip run.
-  breaker.recordCompletion();
-  EXPECT_FALSE(breaker.open());
-  EXPECT_FALSE(breaker.recordTrip());  // run restarts at 1 of 2
-  EXPECT_FALSE(breaker.open());
 }
 
 // --- Incident journal: master restart -------------------------------------

@@ -127,25 +127,21 @@ Cluster& cluster() {
 
 // --- Batched slave analysis -----------------------------------------------
 
-TEST(SlaveBatch, BatchMatchesPerComponentAnalysisAtAnyThreadCount) {
+TEST(SlaveBatch, BatchMatchesPerComponentAnalysis) {
   Cluster& c = cluster();
   const std::vector<ComponentId> ids = {2, 3, 99};  // 99 is unknown
   std::vector<std::optional<ComponentFinding>> reference;
   for (ComponentId id : ids) reference.push_back(c.back.analyze(id, c.tv));
   EXPECT_FALSE(reference[2].has_value());
 
-  for (int threads : {0, 3, 8}) {
-    c.back.setAnalysisThreads(threads);
-    const auto batch = c.back.analyzeBatch(ids, c.tv);
-    ASSERT_EQ(batch.size(), reference.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      ASSERT_EQ(batch[i].has_value(), reference[i].has_value()) << i;
-      if (batch[i].has_value()) {
-        EXPECT_TRUE(sameFinding(*batch[i], *reference[i])) << i;
-      }
+  const auto batch = c.back.analyzeBatch(ids, c.tv);
+  ASSERT_EQ(batch.size(), reference.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_EQ(batch[i].has_value(), reference[i].has_value()) << i;
+    if (batch[i].has_value()) {
+      EXPECT_TRUE(sameFinding(*batch[i], *reference[i])) << i;
     }
   }
-  c.back.setAnalysisThreads(0);
 }
 
 // --- Master determinism: inline vs pool -----------------------------------
@@ -199,17 +195,6 @@ TEST(ParallelLocalize, EndpointOutageIsIdenticalAcrossThreadCounts) {
     const PinpointResult pool = localizeWithOutage(threads);
     EXPECT_TRUE(samePinpoint(inline_result, pool)) << threads << " threads";
   }
-}
-
-TEST(ParallelLocalize, SlaveSideParallelismPreservesTheVerdict) {
-  Cluster& c = cluster();
-  const PinpointResult reference = localizeHealthy(0);
-  c.front.setAnalysisThreads(4);
-  c.back.setAnalysisThreads(4);
-  const PinpointResult parallel = localizeHealthy(4);
-  c.front.setAnalysisThreads(0);
-  c.back.setAnalysisThreads(0);
-  EXPECT_TRUE(samePinpoint(reference, parallel));
 }
 
 // --- Batch transport accounting -------------------------------------------

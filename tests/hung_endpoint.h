@@ -1,15 +1,14 @@
 // Test/chaos decorator: an endpoint that hangs instead of failing.
 //
 // FlakyEndpoint (flaky_endpoint.h) models a transport that *answers* badly;
-// this models the failure mode the watchdog exists for — a call that never
-// returns. While hung(), every request parks on a condition variable until
-// release(); the caller (a watchdog sacrificial thread in real use) is stuck
-// for exactly that long. inFlight() lets tests drain abandoned calls before
-// tearing down: release() then wait for inFlight() == 0. The count covers
-// the *whole* decorated call — a released thread is still in flight while it
-// executes the inner endpoint's work, so a drained endpoint's slave is safe
-// to destroy (counting only the parked window would let teardown race the
-// abandoned thread's analysis: a use-after-free).
+// this models a call that does not return until the test lets it go. An
+// endpoint built with start_hung parks every request on a condition variable
+// until release() (or releaseWithTornReply()); the caller is stuck for
+// exactly that long, so a test can hold several calls in flight at once and
+// observe them through inFlight(). The count covers the *whole* decorated
+// call — a released thread is still in flight while it executes the inner
+// endpoint's work, so after release() and inFlight() == 0 the inner slave
+// is safe to destroy.
 #pragma once
 
 #include <condition_variable>
@@ -26,12 +25,6 @@ class HungEndpoint final : public SlaveEndpoint {
   explicit HungEndpoint(std::shared_ptr<SlaveEndpoint> inner,
                         bool start_hung = false)
       : inner_(std::move(inner)), hung_(start_hung) {}
-
-  /// Subsequent (and currently arriving) calls block until release().
-  void hang() {
-    std::lock_guard<std::mutex> g(m_);
-    hung_ = true;
-  }
 
   /// Unblocks every parked call; new calls pass straight through.
   void release() {

@@ -1,9 +1,8 @@
 // Unit tests for the online monitoring runtime: SLO latch -> auto-trigger,
-// cooldown queueing/drops, re-arm after recovery, per-incident supervision
-// deltas from a handed master, ingest routing, one ingest RPC per slave per
-// tick, fire-and-forget ingest over flaky transports, the unsent tick of a
-// destroyed monitor, the checkpointed ingest path, and the online.* metric
-// instruments.
+// cooldown queueing/drops, re-arm after recovery, ingest routing, one
+// ingest RPC per slave per tick, fire-and-forget ingest over flaky
+// transports, the unsent tick of a destroyed monitor, the checkpointed
+// ingest path, and the online.* metric instruments.
 #include <array>
 #include <cmath>
 #include <filesystem>
@@ -37,24 +36,21 @@ std::array<double, kMetricCount> sampleAt(TimeSec t, ComponentId id) {
 /// Two slaves x two components, one latency app across all four. The
 /// FChainConfig keeps the paper defaults (the synthetic streams here are
 /// short; only trigger plumbing is under test, not localization quality).
-/// The monitor owns its master unless the fixture is handed one.
+/// The monitor owns its master.
 struct Fixture {
   std::unique_ptr<core::FChainSlave> front;
   std::unique_ptr<core::FChainSlave> back;
   std::unique_ptr<OnlineMonitor> monitor;
   std::size_t app = 0;
 
-  explicit Fixture(OnlineMonitorConfig config = {},
-                   core::FChainMaster* master = nullptr) {
+  explicit Fixture(OnlineMonitorConfig config = {}) {
     front = std::make_unique<core::FChainSlave>(0);
     back = std::make_unique<core::FChainSlave>(1);
     front->addComponent(0, 0);
     front->addComponent(1, 0);
     back->addComponent(2, 0);
     back->addComponent(3, 0);
-    monitor = master == nullptr
-                  ? std::make_unique<OnlineMonitor>(config)
-                  : std::make_unique<OnlineMonitor>(config, *master);
+    monitor = std::make_unique<OnlineMonitor>(config);
     monitor->addSlave(front.get());
     monitor->addSlave(back.get());
     AppSpec spec;
@@ -118,32 +114,6 @@ TEST(OnlineMonitor, RearmsAfterRecoveryAndCatchesTheNextFault) {
   for (TimeSec t = 150; t < 160; ++t) fx.streamTick(t, 0.5);
   ASSERT_EQ(fx.monitor->incidents().size(), 2u);
   EXPECT_EQ(fx.monitor->incidents()[1].violation_time, 152);
-}
-
-TEST(OnlineMonitor, IncidentCountsOnlyItsOwnSupervisionSkips) {
-  // A localize deadline that has always passed by the first batch sheds all
-  // four components of every localization. Each incident reports the skips
-  // of its own localization, not the master's running total.
-  core::FChainMaster master;
-  runtime::WatchdogConfig watchdog;
-  watchdog.localize_deadline_ms = 1e-6;
-  master.setWatchdog(watchdog);
-  OnlineMonitorConfig cfg;
-  cfg.rearm_good_sec = 10;
-  cfg.cooldown_sec = 5;
-  Fixture fx(cfg, &master);
-  for (TimeSec t = 0; t < 100; ++t) fx.streamTick(t, 0.05);
-  for (TimeSec t = 100; t < 110; ++t) fx.streamTick(t, 0.5);
-  for (TimeSec t = 110; t < 150; ++t) fx.streamTick(t, 0.05);
-  for (TimeSec t = 150; t < 160; ++t) fx.streamTick(t, 0.5);
-  ASSERT_EQ(fx.monitor->incidents().size(), 2u);
-  for (const OnlineIncident& incident : fx.monitor->incidents()) {
-    EXPECT_EQ(incident.deadline_skips_delta, 4u);
-    EXPECT_EQ(incident.watchdog_trips_delta, 0u);
-    EXPECT_DOUBLE_EQ(incident.result.coverage, 0.0);
-  }
-  EXPECT_EQ(master.metrics().snapshot().counters.at("master.deadline_skips"),
-            8u);
 }
 
 TEST(OnlineMonitor, RecoveryShorterThanRearmWindowDoesNotRearm) {

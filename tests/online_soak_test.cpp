@@ -230,10 +230,6 @@ TEST(OnlineSoak, MultiAppHoursLongRunLocalizesEveryIncidentBitIdentically) {
   persist::IncidentJournal journal(state_dir + "/incidents.journal");
   core::FChainMaster master(fchain);
   master.setWorkerThreads(2);
-  runtime::WatchdogConfig watchdog;  // supervision on, generous: never trips
-  watchdog.call_timeout_ms = 60'000;
-  watchdog.localize_deadline_ms = 300'000;
-  master.setWatchdog(watchdog);
   master.setIncidentJournal(&journal);
 
   OnlineMonitor monitor(cfg, master);

@@ -108,14 +108,6 @@ OnlineRun runOnline(const sim::ScenarioConfig& config,
 
   core::FChainMaster master;
   master.setWorkerThreads(worker_threads);
-  if (worker_threads > 0) {
-    // Exercise the supervision path too: a generous watchdog must not
-    // perturb the result (nothing trips, nothing is sacrificed).
-    runtime::WatchdogConfig watchdog;
-    watchdog.call_timeout_ms = 60'000;
-    watchdog.localize_deadline_ms = 300'000;
-    master.setWatchdog(watchdog);
-  }
   OnlineMonitor monitor({}, master);
   monitor.addSlave(&front);
   monitor.addSlave(&back);
@@ -182,7 +174,7 @@ TEST(OnlineVsOffline, ConcurrentFaultMatchesGolden) {
                             "concurrent_fault");
 }
 
-TEST(OnlineVsOffline, ParallelFanOutUnderWatchdogMatchesGolden) {
+TEST(OnlineVsOffline, ParallelFanOutMatchesGolden) {
   expectOnlineMatchesGolden(rubisScenario({cpuHogOnDb()}, /*seed=*/77),
                             "single_fault", /*worker_threads=*/4);
 }

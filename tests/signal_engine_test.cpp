@@ -18,14 +18,17 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <new>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/stats.h"
 #include "fchain/slave.h"
 #include "pinpoint_equal.h"
+#include "runtime/worker_pool.h"
 #include "scoped_trace.h"
 #include "signal/burst.h"
 #include "signal/cusum.h"
@@ -414,12 +417,18 @@ TEST(EngineIdentity, ParallelAnalysisMatchesSerialAcrossAllMetrics) {
   // the comparison to be meaningful.
   ASSERT_TRUE(serial[1].has_value() || serial[3].has_value());
 
-  slave.setAnalysisThreads(4);
+  // One VM per pool task: the way the master's pool runs concurrent
+  // analyses, each on its worker thread's scratch arena.
+  runtime::WorkerPool pool(4);
   for (int repeat = 0; repeat < 3; ++repeat) {
     // Repeats reuse each worker thread's scratch arena — results must not
     // depend on which worker (with whatever warm lane sizes) gets which VM.
-    const auto parallel = slave.analyzeBatch(ids, tv);
-    ASSERT_EQ(parallel.size(), serial.size());
+    std::vector<std::optional<core::ComponentFinding>> parallel(ids.size());
+    std::vector<std::function<void()>> tasks;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      tasks.push_back([&, i] { parallel[i] = slave.analyze(ids[i], tv); });
+    }
+    pool.run(std::move(tasks));
     for (std::size_t i = 0; i < serial.size(); ++i) {
       ASSERT_EQ(serial[i].has_value(), parallel[i].has_value()) << i;
       if (serial[i].has_value()) {
@@ -427,7 +436,6 @@ TEST(EngineIdentity, ParallelAnalysisMatchesSerialAcrossAllMetrics) {
       }
     }
   }
-  slave.setAnalysisThreads(0);
   const auto serial_again = slave.analyzeBatch(ids, tv);
   for (std::size_t i = 0; i < serial.size(); ++i) {
     ASSERT_EQ(serial[i].has_value(), serial_again[i].has_value()) << i;

@@ -8,6 +8,8 @@
 //   - round-trips (handshake, analyze, ingest, discovery) over unix + tcp;
 //   - a raw fake server delivering torn frames, corrupt frames, and
 //     future-version frames;
+//   - a silent slave that handshakes and never replies: the request
+//     deadline bounds the localization and health sheds the slave;
 //   - reconnect-with-identity-pinning and the split-brain guard over the
 //     wire (two live services claiming one slave id);
 //   - the runtime.socket.* metrics the identity suite asserts on;
@@ -20,6 +22,7 @@
 //     once, and the verdict is the in-process inline verdict.
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -291,6 +294,45 @@ class FakeServer {
   std::thread thread_;
 };
 
+/// Accepts every connection and answers its handshake as slave 1 owning
+/// components {2, 3}, then never replies: a slave process that is alive but
+/// wedged. Every connection stays open until the server is destroyed, so
+/// the client sees silence (Timeout), never a close (Dropped).
+class SilentServer {
+ public:
+  SilentServer()
+      : listener_(Listener::listenOn(SocketAddress::unixPath(
+            unixSpec("silent_" + std::to_string(next_++))))) {
+    thread_ = std::thread([this] {
+      std::vector<Socket> held;
+      while (!stop_.load()) {
+        Socket conn = listener_.accept(10.0);
+        if (!conn.valid()) continue;
+        std::vector<std::uint8_t> frame;
+        if (conn.recvFrame(frame, 5000.0) != RecvStatus::Ok) continue;
+        wire::HelloReply hello;
+        hello.host = 1;
+        hello.components = {2, 3};
+        hello.identity_hash = wire::slaveIdentityHash(1, {2, 3});
+        if (conn.sendAll(encodeHelloReply(hello), 5000.0)) {
+          held.push_back(std::move(conn));
+        }
+      }
+    });
+  }
+  ~SilentServer() {
+    stop_.store(true);
+    thread_.join();
+  }
+  const SocketAddress& address() const { return listener_.address(); }
+
+ private:
+  static inline int next_ = 0;
+  Listener listener_;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
 TEST(SocketTransport, TornReplyFrameIsDropped) {
   // A valid IngestReply cut in half: the peer died mid-send.
   const std::vector<std::uint8_t> full =
@@ -377,6 +419,48 @@ TEST(SocketTransport, OversizedFrameHeaderIsRejectedBeforeAllocation) {
   request.t = 0;
   EXPECT_EQ(endpoint.ingest(request).status, EndpointStatus::Dropped);
   EXPECT_EQ(registry.counter("runtime.socket.crc_errors").value(), 1u);
+}
+
+// --- A slave that never answers ----------------------------------------------
+
+// A socket slave that handshakes and then stays silent is the one transport
+// that can really hang. Each attempt's receive gives up at the request
+// deadline with Timeout, retry and health shed the slave's components into
+// unanalyzed, and once the slave is Down a localization spends one request
+// on it.
+TEST(SocketTransport, SilentSlaveIsBoundedByTheRequestDeadline) {
+  core::FChainSlave slave = makeSlave(0, {0, 1});
+  SilentServer silent;
+  RetryPolicy retry;
+  retry.request_deadline_ms = 100.0;
+  core::FChainMaster master({}, retry);
+  master.registerSlave(&slave);
+  SocketEndpointConfig config = endpointConfig(silent.address());
+  config.io_timeout_ms = 100.0;
+  config.reconnect.max_attempts = 1;
+  master.registerEndpoint(std::make_shared<SocketEndpoint>(config), {2, 3});
+
+  const auto start = std::chrono::steady_clock::now();
+  const core::PinpointResult result = master.localize({0, 1, 2, 3}, 110);
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  EXPECT_EQ(result.unanalyzed, (std::vector<ComponentId>{2, 3}));
+  EXPECT_DOUBLE_EQ(result.coverage, 0.5);
+  // Three attempts of one 100 ms receive deadline each, with room for
+  // sanitizers and a loaded machine.
+  EXPECT_LT(elapsed_ms, 3000.0);
+  EXPECT_EQ(master.endpointHealth(),
+            (std::vector<HealthState>{HealthState::Healthy,
+                                      HealthState::Down}));
+
+  const auto requests = [&master] {
+    return master.metrics().snapshot().counters.at("master.requests");
+  };
+  const std::uint64_t before = requests();
+  const core::PinpointResult again = master.localize({0, 1, 2, 3}, 110);
+  EXPECT_EQ(again.unanalyzed, (std::vector<ComponentId>{2, 3}));
+  EXPECT_EQ(requests() - before, 2u);
 }
 
 // --- Server-side damage handling -------------------------------------------
