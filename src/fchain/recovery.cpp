@@ -16,51 +16,62 @@ std::string journalPathFor(const std::string& dir, HostId host) {
   return dir + "/slave_" + std::to_string(host) + ".journal";
 }
 
+/// One past the latest sample time the snapshot and journal at these paths
+/// hold (0 when neither holds a sample or exists).
+TimeSec persistedEnd(const std::string& snapshot_path,
+                     const std::string& journal_path) {
+  TimeSec end = 0;
+  if (persist::fileExists(snapshot_path)) {
+    const persist::SlaveSnapshot snap =
+        persist::loadSlaveSnapshot(snapshot_path);
+    for (const persist::VmSnapshotState& vm : snap.vms) {
+      for (const persist::SeriesState& series : vm.series) {
+        end = std::max(
+            end, series.start + static_cast<TimeSec>(series.values.size()));
+      }
+    }
+  }
+  if (persist::fileExists(journal_path)) {
+    const persist::SampleJournalReplay replay =
+        persist::readSampleJournal(journal_path);
+    for (const persist::SampleRecord& record : replay.records) {
+      end = std::max(end, record.t + 1);
+    }
+  }
+  return end;
+}
+
 }  // namespace
 
 SlaveCheckpointer::SlaveCheckpointer(FChainSlave& slave, std::string dir,
                                      CheckpointPolicy policy)
     : slave_(slave), dir_(std::move(dir)), policy_(policy) {
-  // Sample-time extent of whatever state is already persisted in dir_. The
-  // first checkpointNow() below replaces that state with the wrapped
-  // slave's; if the slave does not carry it (it was not built via
-  // recover()), the overwrite would destroy a crashed slave's history —
-  // refuse, loudly, unless the policy opts in.
-  TimeSec persisted_end = 0;
+  // Continue the epoch sequence of whatever generation is already there.
+  // The header holds it; the payload goes unchecked, because checkpointNow()
+  // below replaces it.
   if (persist::fileExists(snapshotPath())) {
-    const persist::SlaveSnapshot snap =
-        persist::loadSlaveSnapshot(snapshotPath());
-    // Continue the epoch sequence of whatever generation is already there.
-    epoch_ = snap.epoch;
-    for (const persist::VmSnapshotState& vm : snap.vms) {
-      for (const persist::SeriesState& series : vm.series) {
-        persisted_end = std::max(
-            persisted_end,
-            series.start + static_cast<TimeSec>(series.values.size()));
-      }
-    }
+    epoch_ = persist::readSnapshotEpoch(snapshotPath());
   }
-  if (persist::fileExists(journalPath())) {
-    const persist::SampleJournalReplay replay =
-        persist::readSampleJournal(journalPath());
-    for (const persist::SampleRecord& record : replay.records) {
-      persisted_end = std::max(persisted_end, record.t + 1);
+  // That replacement destroys a crashed slave's history when the wrapped
+  // slave does not carry it (it was not built via recover()): refuse,
+  // loudly, unless the policy opts in. A slave rebuilt via recover() always
+  // carries samples when the persisted state does (it may trail the
+  // persisted extent when replay deterministically *dropped* tail records —
+  // corrupt timestamps, over-wide gaps — so an exact-extent comparison
+  // would reject legitimate recoveries). A slave with an empty clock over
+  // sampled state is the unambiguous footgun, and only for such a slave is
+  // the persisted state read in full.
+  if (sampleClock() == 0 && !policy_.discard_unrecovered_state) {
+    const TimeSec persisted_end = persistedEnd(snapshotPath(), journalPath());
+    if (persisted_end > 0) {
+      throw std::runtime_error(
+          "checkpoint dir " + dir_ + " holds learned state for host " +
+          std::to_string(slave_.host()) + " through t=" +
+          std::to_string(persisted_end) +
+          " but the wrapped slave is fresh; wrap "
+          "SlaveCheckpointer::recover()'s slave or set "
+          "CheckpointPolicy::discard_unrecovered_state to overwrite it");
     }
-  }
-  // A slave rebuilt via recover() always carries samples when the persisted
-  // state does (it may trail persisted_end when replay deterministically
-  // *dropped* tail records — corrupt timestamps, over-wide gaps — so an
-  // exact-extent comparison would reject legitimate recoveries). A slave
-  // with an empty clock over sampled state is the unambiguous footgun.
-  if (persisted_end > 0 && sampleClock() == 0 &&
-      !policy_.discard_unrecovered_state) {
-    throw std::runtime_error(
-        "checkpoint dir " + dir_ + " holds learned state for host " +
-        std::to_string(slave_.host()) + " through t=" +
-        std::to_string(persisted_end) +
-        " but the wrapped slave is fresh; wrap "
-        "SlaveCheckpointer::recover()'s slave or set "
-        "CheckpointPolicy::discard_unrecovered_state to overwrite it");
   }
   checkpointNow();
 }
@@ -137,15 +148,15 @@ SlaveCheckpointer::Recovered SlaveCheckpointer::recover(
   Recovered result{FChainSlave(host, config)};
   const std::string snapshot_path = snapshotPathFor(dir, host);
   if (persist::fileExists(snapshot_path)) {
-    const persist::SlaveSnapshot snap =
-        persist::loadSlaveSnapshot(snapshot_path);
+    persist::SlaveSnapshot snap = persist::loadSlaveSnapshot(snapshot_path);
     if (snap.host != host) {
       throw std::runtime_error("snapshot " + snapshot_path + " is for host " +
                                std::to_string(snap.host) + ", not " +
                                std::to_string(host));
     }
-    result.slave = FChainSlave::fromSnapshot(snap, std::move(config));
     result.epoch = snap.epoch;
+    result.slave =
+        FChainSlave::fromSnapshot(std::move(snap), std::move(config));
   }
   const std::string journal_path = journalPathFor(dir, host);
   if (persist::fileExists(journal_path)) {

@@ -55,11 +55,24 @@ class SlaveCheckpointer {
  public:
   /// Wraps a live slave (components already registered). Immediately writes
   /// a checkpoint, so `dir` always holds a consistent snapshot + journal
-  /// pair from construction on. Epoch numbering continues from any snapshot
-  /// already in `dir`. Throws std::runtime_error when `dir` holds persisted
-  /// state the wrapped slave does not carry — wrap the result of recover()
-  /// (or set CheckpointPolicy::discard_unrecovered_state) instead of
-  /// silently destroying a crashed slave's learned history.
+  /// pair from construction on. Throws std::runtime_error when `dir` holds
+  /// persisted state the wrapped slave does not carry — wrap the result of
+  /// recover() (or set CheckpointPolicy::discard_unrecovered_state) instead
+  /// of silently destroying a crashed slave's learned history.
+  ///
+  /// What it reads first:
+  ///   - Epoch numbering continues from the snapshot already in `dir`, read
+  ///     with persist::readSnapshotEpoch: its header and epoch field only. A
+  ///     damaged header (a file cut below it, a bad magic or version, a
+  ///     length field that disagrees with the file size) throws
+  ///     persist::CorruptDataError and leaves both files untouched.
+  ///   - The payload's CRC is not checked, since the boot checkpoint is
+  ///     about to replace that payload: under a slave that carries samples,
+  ///     a bit flip past the epoch field is overwritten and nothing throws.
+  ///   - Only a fresh slave (no samples) with discard_unrecovered_state off
+  ///     has the snapshot and journal loaded in full, for the persisted
+  ///     extent the refusal needs. There a damaged payload or journal header
+  ///     still throws CorruptDataError.
   SlaveCheckpointer(FChainSlave& slave, std::string dir,
                     CheckpointPolicy policy = {});
 

@@ -120,8 +120,10 @@ class FChainSlave {
   /// snapshot, and further ingest continues the models deterministically.
   /// `config` supplies the non-persisted analysis parameters (thresholds,
   /// gap-fill mode) and must match the original slave's config for
-  /// equivalence to hold.
-  static FChainSlave fromSnapshot(const persist::SlaveSnapshot& snapshot,
+  /// equivalence to hold. The snapshot is taken by value and its vectors
+  /// become the slave's state: pass an rvalue to move them in, an lvalue to
+  /// copy.
+  static FChainSlave fromSnapshot(persist::SlaveSnapshot snapshot,
                                   FChainConfig config = {});
 
  private:

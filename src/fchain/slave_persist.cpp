@@ -35,19 +35,19 @@ persist::SlaveSnapshot FChainSlave::snapshot(std::uint64_t epoch) const {
   return snap;
 }
 
-FChainSlave FChainSlave::fromSnapshot(const persist::SlaveSnapshot& snapshot,
+FChainSlave FChainSlave::fromSnapshot(persist::SlaveSnapshot snapshot,
                                       FChainConfig config) {
   FChainSlave slave(snapshot.host, std::move(config));
-  for (const persist::VmSnapshotState& vm : snapshot.vms) {
+  for (persist::VmSnapshotState& vm : snapshot.vms) {
     // Register through the normal path first, then overwrite the learned
     // state field by field with the persisted bits.
     slave.addComponent(vm.component, vm.series[0].start);
     VmState& state = *slave.findVm(vm.component);
     for (std::size_t m = 0; m < kMetricCount; ++m) {
       state.series.of(kAllMetrics[m]) =
-          TimeSeries(vm.series[m].start, vm.series[m].values);
+          TimeSeries(vm.series[m].start, std::move(vm.series[m].values));
       persist::StateAccess::predictors(state.model)[m] =
-          persist::StateAccess::restore(vm.predictors[m]);
+          persist::StateAccess::restore(std::move(vm.predictors[m]));
     }
     state.stats.gaps_filled = static_cast<std::size_t>(vm.gaps_filled);
     state.stats.quarantined = static_cast<std::size_t>(vm.quarantined);

@@ -1,5 +1,6 @@
 #include "persist/codec.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdio>
@@ -43,12 +44,69 @@ constexpr CrcTables makeCrcTables() {
 
 constexpr CrcTables kCrcTables = makeCrcTables();
 
+/// The reflected CRC-32 polynomial. In a reflected register bit 31 is the
+/// coefficient of x^0 and bit 0 that of x^31.
+constexpr std::uint32_t kCrcPoly = 0xedb88320u;
+
+/// a(x) * b(x) mod P(x), on reflected registers (zlib's multmodp).
+constexpr std::uint32_t multModP(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t product = 0;
+  for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if (a & m) product ^= b;
+    b = (b & 1u) ? (b >> 1) ^ kCrcPoly : b >> 1;
+  }
+  return product;
+}
+
+/// x^(2^k) mod P(x) for k = 0..31: the squarings x2nModP composes.
+constexpr std::array<std::uint32_t, 32> makeX2nTable() {
+  std::array<std::uint32_t, 32> table{};
+  std::uint32_t p = 1u << 30;  // x^1
+  for (std::uint32_t& entry : table) {
+    entry = p;
+    p = multModP(p, p);
+  }
+  return table;
+}
+
+constexpr std::array<std::uint32_t, 32> kX2nTable = makeX2nTable();
+
+/// x^(n * 2^k) mod P(x) (zlib's x2nmodp). Multiplying a register by
+/// x2nModP(n, 3) advances it through n zero bytes.
+std::uint32_t x2nModP(std::size_t n, unsigned k) {
+  std::uint32_t p = 1u << 31;  // x^0
+  for (; n != 0; n >>= 1, ++k) {
+    if (n & 1u) p = multModP(kX2nTable[k & 31u], p);
+  }
+  return p;
+}
+
 /// Unaligned little-endian load; compilers fold it into one load.
 std::uint32_t loadLe32(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) |
          static_cast<std::uint32_t>(p[1]) << 8 |
          static_cast<std::uint32_t>(p[2]) << 16 |
          static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+/// One slice-by-8 step: folds the 8 bytes at `p` into register `c`.
+inline std::uint32_t crcStep8(std::uint32_t c, const std::uint8_t* p) {
+  const CrcTables& t = kCrcTables;
+  const std::uint32_t lo = loadLe32(p) ^ c;
+  const std::uint32_t hi = loadLe32(p + 4);
+  return t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+         t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+         t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+}
+
+/// One lane: slice-by-8 over the whole 8-byte steps, then byte by byte.
+std::uint32_t crcLane(std::uint32_t c, const std::uint8_t* bytes,
+                      std::size_t size) {
+  for (; size >= 8; bytes += 8, size -= 8) c = crcStep8(c, bytes);
+  for (; size > 0; ++bytes, --size) {
+    c = kCrcTables[0][(c ^ *bytes) & 0xffu] ^ (c >> 8);
+  }
+  return c;
 }
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -66,20 +124,31 @@ bool syncPath(const char* path) {
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
-  const CrcTables& t = kCrcTables;
   const auto* bytes = static_cast<const std::uint8_t*>(data);
   std::uint32_t c = seed ^ 0xffffffffu;
-  for (; size >= 8; bytes += 8, size -= 8) {
-    const std::uint32_t lo = loadLe32(bytes) ^ c;
-    const std::uint32_t hi = loadLe32(bytes + 4);
-    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
-        t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
-        t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  if (size >= kCrc32LanedSize) {
+    // Three independent lanes over equal thirds: a single lane waits on its
+    // own register between steps, three keep the table loads overlapped.
+    // Lane 0 carries the seeded register; lanes 1 and 2 start from 0. The
+    // register is linear in its start value and the data, so running A then
+    // B from register c leaves c * x^(8|AB|) ^ r(A) * x^(8|B|) ^ r(B) mod P,
+    // where r(X) is what X leaves in a register that starts from 0.
+    const std::size_t lane = size / 3 / 8 * 8;
+    const std::uint8_t* second = bytes + lane;
+    const std::uint8_t* third = second + lane;
+    std::uint32_t c1 = 0;
+    std::uint32_t c2 = 0;
+    for (std::size_t i = 0; i < lane; i += 8) {
+      c = crcStep8(c, bytes + i);
+      c1 = crcStep8(c1, second + i);
+      c2 = crcStep8(c2, third + i);
+    }
+    const std::uint32_t shift = x2nModP(lane, 3);
+    c = multModP(shift, multModP(shift, c) ^ c1) ^ c2;
+    bytes += 3 * lane;
+    size -= 3 * lane;
   }
-  for (; size > 0; ++bytes, --size) {
-    c = t[0][(c ^ *bytes) & 0xffu] ^ (c >> 8);
-  }
-  return c ^ 0xffffffffu;
+  return crcLane(c, bytes, size) ^ 0xffffffffu;
 }
 
 void Encoder::append(const void* data, std::size_t size) {
@@ -222,9 +291,10 @@ std::vector<std::uint8_t> frame(std::uint32_t magic, std::uint32_t version,
   return sealFrame(std::move(out), magic, version);
 }
 
-FrameView unframe(std::span<const std::uint8_t> bytes, std::uint32_t magic,
-                  std::uint32_t max_version) {
-  Decoder in(bytes);
+FrameHeader readFrameHeader(std::span<const std::uint8_t> head,
+                            std::uint32_t magic, std::uint32_t max_version,
+                            std::uint64_t frame_size) {
+  Decoder in(head);
   const std::uint32_t got_magic = in.u32();
   if (got_magic != magic) {
     throw CorruptDataError("bad magic: expected 0x" /* hex omitted */ +
@@ -239,20 +309,27 @@ FrameView unframe(std::span<const std::uint8_t> bytes, std::uint32_t magic,
   }
   const std::uint64_t length = in.u64();
   const std::uint32_t checksum = in.u32();
-  // Only payload bytes remain past the header now.
-  if (length != in.remaining()) {
+  // Only payload bytes remain past the header.
+  const std::uint64_t carried = frame_size - kFrameHeaderSize;
+  if (length != carried) {
     throw CorruptDataError("payload length mismatch: header says " +
                                std::to_string(length) + ", file carries " +
-                               std::to_string(in.remaining()),
+                               std::to_string(carried),
                            8);
   }
+  return {version, checksum};
+}
+
+FrameView unframe(std::span<const std::uint8_t> bytes, std::uint32_t magic,
+                  std::uint32_t max_version) {
+  const FrameHeader header =
+      readFrameHeader(bytes, magic, max_version, bytes.size());
   const std::span<const std::uint8_t> payload =
       bytes.subspan(kFrameHeaderSize);
-  const std::uint32_t actual = crc32(payload);
-  if (actual != checksum) {
+  if (crc32(payload) != header.payload_crc) {
     throw CorruptDataError("payload checksum mismatch", kFrameHeaderSize);
   }
-  return {version, payload};
+  return {header.version, payload};
 }
 
 void writeFileAtomic(const std::string& path,
@@ -292,6 +369,10 @@ void writeFileAtomic(const std::string& path,
 }
 
 std::vector<std::uint8_t> readFileBytes(const std::string& path) {
+  return readFileHead(path, static_cast<std::size_t>(-1)).bytes;
+}
+
+FileHead readFileHead(const std::string& path, std::size_t max_bytes) {
   // A directory opens as an ifstream too, so check the file type before
   // reading, and take the size from the file system.
   std::error_code ec;
@@ -299,15 +380,17 @@ std::vector<std::uint8_t> readFileBytes(const std::string& path) {
     throw std::runtime_error("cannot read file: " + path +
                              " is missing or not a regular file");
   }
-  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  FileHead head;
+  head.file_size = std::filesystem::file_size(path, ec);
   if (ec) throw std::runtime_error("cannot size file: " + path);
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open file: " + path);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
+  head.bytes.resize(static_cast<std::size_t>(
+      std::min<std::uint64_t>(head.file_size, max_bytes)));
+  in.read(reinterpret_cast<char*>(head.bytes.data()),
+          static_cast<std::streamsize>(head.bytes.size()));
   if (!in) throw std::runtime_error("read failure on file: " + path);
-  return bytes;
+  return head;
 }
 
 bool fileExists(const std::string& path) {

@@ -39,8 +39,16 @@ class CorruptDataError : public std::runtime_error {
   std::size_t offset_;
 };
 
+/// The shortest buffer crc32 checksums in three lanes.
+inline constexpr std::size_t kCrc32LanedSize = 6 * 1024;
+
 /// CRC-32 (IEEE 802.3, the zlib polynomial). Pass the previous return value
-/// as `seed` to checksum data in chunks.
+/// as `seed` to checksum data in chunks. Slice-by-8: each step folds 8 bytes
+/// with 8 table lookups. A buffer of at least kCrc32LanedSize bytes runs as
+/// three independent lanes over equal thirds (a multiple of 8 bytes each),
+/// whose registers are then combined by GF(2) multiplication, as zlib's
+/// crc32_combine does; the tail behind them, and every shorter buffer, runs
+/// as one lane. The value is the same as one byte at a time.
 std::uint32_t crc32(const void* data, std::size_t size,
                     std::uint32_t seed = 0);
 
@@ -152,6 +160,20 @@ struct FrameView {
 FrameView unframe(std::span<const std::uint8_t> bytes, std::uint32_t magic,
                   std::uint32_t max_version);
 
+struct FrameHeader {
+  std::uint32_t version = 0;
+  std::uint32_t payload_crc = 0;
+};
+
+/// unframe's checks that need only the header: magic, version range, and a
+/// payload length equal to `frame_size - kFrameHeaderSize`. `head` holds the
+/// frame's first bytes (at least the header, or it throws as truncated), so
+/// a reader can check a frame in a file without reading its payload. The
+/// payload CRC is returned, not checked.
+FrameHeader readFrameHeader(std::span<const std::uint8_t> head,
+                            std::uint32_t magic, std::uint32_t max_version,
+                            std::uint64_t frame_size);
+
 // --- File I/O -------------------------------------------------------------
 
 /// Writes `path` atomically and durably: the bytes land in `path + ".tmp"`,
@@ -166,6 +188,15 @@ void writeFileAtomic(const std::string& path,
 /// Whole-file read; throws std::runtime_error when `path` is missing, is not
 /// a regular file (a directory, say), or cannot be read.
 std::vector<std::uint8_t> readFileBytes(const std::string& path);
+
+struct FileHead {
+  std::vector<std::uint8_t> bytes;  ///< the first bytes, at most max_bytes
+  std::uint64_t file_size = 0;
+};
+
+/// The first `max_bytes` bytes of `path` (the whole file when it is
+/// shorter) and the file's size; throws as readFileBytes does.
+FileHead readFileHead(const std::string& path, std::size_t max_bytes);
 
 bool fileExists(const std::string& path);
 

@@ -168,4 +168,15 @@ SlaveSnapshot loadSlaveSnapshot(const std::string& path) {
   return decodeSlaveSnapshot(readFileBytes(path));
 }
 
+std::uint64_t readSnapshotEpoch(const std::string& path) {
+  // The header, then the payload's host (u32) and epoch (u64).
+  const FileHead head = readFileHead(path, kFrameHeaderSize + 4 + 8);
+  readFrameHeader(head.bytes, kSnapshotMagic, kSnapshotVersion,
+                  head.file_size);
+  Decoder in(head.bytes);
+  in.bytes(kFrameHeaderSize);
+  in.u32();  // host
+  return in.u64();
+}
+
 }  // namespace fchain::persist

@@ -95,4 +95,12 @@ void saveSlaveSnapshot(const std::string& path, const SlaveSnapshot& snapshot);
 /// readFileBytes + decode.
 SlaveSnapshot loadSlaveSnapshot(const std::string& path);
 
+/// The epoch of the snapshot at `path`, read from the frame header and the
+/// host and epoch fields behind it (32 bytes): the rest of the file is not
+/// read. Checks magic, version and that the header's payload length matches
+/// the file size, and throws CorruptDataError otherwise; it does not check
+/// the payload CRC, so a bit flip past the epoch field goes unseen. For a
+/// caller about to replace the payload (see core::SlaveCheckpointer).
+std::uint64_t readSnapshotEpoch(const std::string& path);
+
 }  // namespace fchain::persist

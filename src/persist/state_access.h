@@ -14,6 +14,8 @@
 // learned state field by field with the exact persisted bits.
 #pragma once
 
+#include <utility>
+
 #include "fchain/fluctuation_model.h"
 #include "markov/predictor.h"
 #include "persist/snapshot.h"
@@ -51,9 +53,10 @@ struct StateAccess {
   }
 
   /// Rebuilds a predictor whose observable behaviour is bit-identical to the
-  /// captured one. Precondition: `s` passed decodeSlaveSnapshot's structural
-  /// validation (bins > 0, counts.size() == bins^2, row_mass.size() == bins).
-  static markov::OnlinePredictor restore(const PredictorState& s) {
+  /// captured one, moving the state's vectors into it. Precondition: `s`
+  /// passed decodeSlaveSnapshot's structural validation (bins > 0,
+  /// counts.size() == bins^2, row_mass.size() == bins).
+  static markov::OnlinePredictor restore(PredictorState s) {
     markov::PredictorConfig config;
     config.bins = static_cast<std::size_t>(s.bins);
     config.calibration_samples =
@@ -64,17 +67,17 @@ struct StateAccess {
     markov::OnlinePredictor p(s.errors.start, config);
 
     markov::Discretizer& d = p.discretizer_;
-    d.buffer_ = s.calibration_buffer;
+    d.buffer_ = std::move(s.calibration_buffer);
     d.calibrated_ = s.calibrated;
     d.lo_ = s.lo;
     d.hi_ = s.hi;
     d.width_ = s.width;
 
     markov::MarkovModel& m = p.model_;
-    m.counts_ = s.counts;
-    m.row_mass_ = s.row_mass;
+    m.counts_ = std::move(s.counts);
+    m.row_mass_ = std::move(s.row_mass);
 
-    p.errors_ = TimeSeries(s.errors.start, s.errors.values);
+    p.errors_ = TimeSeries(s.errors.start, std::move(s.errors.values));
     p.last_state_ = s.has_last_state
                         ? std::optional<std::size_t>(
                               static_cast<std::size_t>(s.last_state))

@@ -50,7 +50,7 @@ void SocketEndpoint::disconnect() {
   conn_.close();
 }
 
-bool SocketEndpoint::ensureConnectedLocked() {
+bool SocketEndpoint::ensureConnectedLocked(double io_ms) {
   if (version_rejected_) return false;
   if (conn_.valid()) return true;
   const int attempts = std::max(1, config_.reconnect.max_attempts);
@@ -66,11 +66,12 @@ bool SocketEndpoint::ensureConnectedLocked() {
         Socket::connectTo(config_.address, config_.connect_timeout_ms);
     if (!sock.valid()) continue;
 
-    // Versioned handshake: Hello out, HelloReply (or a rejection) back.
-    if (!sock.sendAll(wire::encodeHello({}), config_.io_timeout_ms)) continue;
+    // Versioned handshake: Hello out, HelloReply (or a rejection) back,
+    // each bounded by the request's I/O deadline.
+    if (!sock.sendAll(wire::encodeHello({}), io_ms)) continue;
     metric_frames_tx_.add();
     std::vector<std::uint8_t> frame;
-    const RecvStatus status = sock.recvFrame(frame, config_.io_timeout_ms);
+    const RecvStatus status = sock.recvFrame(frame, io_ms);
     if (status == RecvStatus::BadVersion) {
       version_rejected_ = true;
       return false;
@@ -122,8 +123,8 @@ EndpointStatus SocketEndpoint::roundTripLocked(
     const std::vector<std::uint8_t>& frame, double deadline_ms,
     wire::Message& reply) {
   ++request_counter_;
-  if (!ensureConnectedLocked()) return EndpointStatus::Unavailable;
   const double io = deadline_ms > 0.0 ? deadline_ms : config_.io_timeout_ms;
+  if (!ensureConnectedLocked(io)) return EndpointStatus::Unavailable;
   if (!conn_.sendAll(frame, io)) {
     // A send that dies mid-frame leaves the peer a torn request; either way
     // the reply is lost, which is the retryable Dropped case.

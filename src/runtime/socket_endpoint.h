@@ -12,9 +12,12 @@
 //
 // so the master's retry and health paths drive real I/O errors without
 // modification. A request's send and receive are bounded by its
-// deadline_ms (io_timeout_ms when it carries none; the handshake always uses
-// io_timeout_ms), so a slave that never answers returns Timeout instead of
-// hanging the caller. Reconnects are bounded per call and paced by the
+// deadline_ms (io_timeout_ms when it carries none), and so is the send and
+// receive of each handshake the request's reconnect makes. A slave that
+// never answers therefore costs the caller a bounded wait, never a hang:
+// Timeout when it is wedged after its handshake, Unavailable when it never
+// answers the handshake (a stopped process whose connects the kernel still
+// queues). Reconnects are bounded per call and paced by the
 // existing deterministic backoff (runtime/health.h, retryDelayMs — here the
 // delay is actually slept, since a real transport has real time). After any
 // non-Ok event the connection is closed: a byte stream that lost framing
@@ -89,8 +92,9 @@ class SocketEndpoint final : public SlaveEndpoint {
   const SocketAddress& address() const { return config_.address; }
 
  private:
-  /// Connects + handshakes if needed; false leaves status() = Unavailable.
-  bool ensureConnectedLocked();
+  /// Connects + handshakes if needed, each handshake's send and receive
+  /// bounded by `io_ms`; false leaves status() = Unavailable.
+  bool ensureConnectedLocked(double io_ms);
   /// One frame out, one frame in. On success `reply` holds the decoded
   /// message; on failure the connection is closed and the status says why.
   EndpointStatus roundTripLocked(const std::vector<std::uint8_t>& frame,

@@ -364,6 +364,121 @@ TEST(Checkpointer, RefusesToOverwritePersistedStateWithFreshSlave) {
   EXPECT_EQ(SlaveCheckpointer::recover(dir, 0).replayed, 0u);
 }
 
+/// Two VMs ingested through a checkpointer for 250 s with a checkpoint every
+/// 100 s: a snapshot past epoch 1 and a journal holding the last 50 s. The
+/// slave outlives the checkpointer, as a live process's state would.
+struct CrashImage {
+  FChainSlave slave{0};
+  std::uint64_t epoch = 0;
+  std::string snapshot_path;
+  std::string journal_path;
+};
+
+std::unique_ptr<CrashImage> makeCrashImage(const std::string& dir) {
+  auto image = std::make_unique<CrashImage>();
+  image->slave.addComponent(0, 0);
+  image->slave.addComponent(1, 0);
+  CheckpointPolicy policy;
+  policy.snapshot_interval_sec = 100;
+  SlaveCheckpointer checkpointer(image->slave, dir, policy);
+  std::array<double, kMetricCount> sample{};
+  for (TimeSec t = 0; t < 250; ++t) {
+    for (ComponentId id = 0; id < 2; ++id) {
+      for (std::size_t m = 0; m < kMetricCount; ++m) {
+        sample[m] = 0.25 + 0.01 * static_cast<double>((t * 7 + m + id) % 13);
+      }
+      checkpointer.ingestAt(id, t, sample);
+    }
+  }
+  image->epoch = checkpointer.epoch();
+  image->snapshot_path = checkpointer.snapshotPath();
+  image->journal_path = checkpointer.journalPath();
+  return image;
+}
+
+TEST(Checkpointer, ReattachContinuesTheEpochFromTheHeader) {
+  const std::string dir = tempDir("reattach_epoch");
+  const std::uint64_t old_epoch = makeCrashImage(dir)->epoch;
+  ASSERT_GT(old_epoch, 1u);
+
+  auto recovered = SlaveCheckpointer::recover(dir, 0);
+  EXPECT_EQ(recovered.epoch, old_epoch);
+  EXPECT_GT(recovered.replayed, 0u);
+  SlaveCheckpointer reattached(recovered.slave, dir);
+  const std::uint64_t epoch = old_epoch + 1;
+  EXPECT_EQ(reattached.epoch(), epoch);
+  const std::vector<std::uint8_t> boot_snapshot =
+      persist::encodeSlaveSnapshot(recovered.slave.snapshot(epoch));
+  EXPECT_EQ(persist::readFileBytes(reattached.snapshotPath()), boot_snapshot);
+  const persist::SampleJournalReplay journal =
+      persist::readSampleJournal(reattached.journalPath());
+  EXPECT_EQ(journal.epoch, epoch);
+  EXPECT_TRUE(journal.records.empty());
+  EXPECT_TRUE(journal.clean);
+
+  // The boot checkpoint alone rebuilds the same bytes.
+  const auto again = SlaveCheckpointer::recover(dir, 0);
+  EXPECT_EQ(again.epoch, epoch);
+  EXPECT_EQ(again.replayed, 0u);
+  EXPECT_EQ(persist::encodeSlaveSnapshot(again.slave.snapshot(epoch)),
+            boot_snapshot);
+}
+
+TEST(Checkpointer, DamagedSnapshotHeaderStillRefuses) {
+  const std::string dir = tempDir("damaged_header");
+  const std::unique_ptr<CrashImage> image = makeCrashImage(dir);
+  const std::vector<std::uint8_t> snapshot =
+      persist::readFileBytes(image->snapshot_path);
+  const std::vector<std::uint8_t> journal =
+      persist::readFileBytes(image->journal_path);
+
+  // Cut below the header, a bad magic, and a length field that disagrees
+  // with the file size.
+  std::vector<std::vector<std::uint8_t>> damaged;
+  damaged.emplace_back(snapshot.begin(), snapshot.begin() + 12);
+  damaged.push_back(snapshot);
+  damaged.back()[1] ^= 0x20;
+  damaged.push_back(snapshot);
+  damaged.back()[8] ^= 0x01;
+  for (std::size_t i = 0; i < damaged.size(); ++i) {
+    for (const bool sampled : {false, true}) {
+      persist::writeFileAtomic(image->snapshot_path, damaged[i]);
+      FChainSlave fresh(0);
+      fresh.addComponent(0, 0);
+      fresh.addComponent(1, 0);
+      FChainSlave& wrapped = sampled ? image->slave : fresh;
+      EXPECT_THROW(SlaveCheckpointer(wrapped, dir), persist::CorruptDataError)
+          << "damage " << i << (sampled ? ", sampled slave" : ", fresh slave");
+      EXPECT_EQ(persist::readFileBytes(image->snapshot_path), damaged[i]);
+      EXPECT_EQ(persist::readFileBytes(image->journal_path), journal);
+    }
+  }
+}
+
+TEST(Checkpointer, PayloadDamageIsReplacedUnderASlaveWithSamples) {
+  const std::string dir = tempDir("payload_damage");
+  const std::unique_ptr<CrashImage> image = makeCrashImage(dir);
+  std::vector<std::uint8_t> damaged =
+      persist::readFileBytes(image->snapshot_path);
+  damaged[damaged.size() / 2] ^= 0x10;  // far past the epoch field
+  persist::writeFileAtomic(image->snapshot_path, damaged);
+
+  // A fresh slave needs the persisted extent, so the payload is loaded and
+  // its CRC refuses it.
+  FChainSlave fresh(0);
+  fresh.addComponent(0, 0);
+  EXPECT_THROW(SlaveCheckpointer(fresh, dir), persist::CorruptDataError);
+  EXPECT_EQ(persist::readFileBytes(image->snapshot_path), damaged);
+
+  // A slave with samples reads only the header; its boot checkpoint
+  // replaces the damaged payload.
+  SlaveCheckpointer reattached(image->slave, dir);
+  EXPECT_EQ(reattached.epoch(), image->epoch + 1);
+  EXPECT_EQ(persist::readFileBytes(image->snapshot_path),
+            persist::encodeSlaveSnapshot(
+                image->slave.snapshot(image->epoch + 1)));
+}
+
 // --- Incident journal: master restart -------------------------------------
 
 TEST(IncidentRecovery, PendingIncidentIsRerunAfterMasterRestart) {

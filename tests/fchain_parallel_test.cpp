@@ -78,14 +78,29 @@ TEST(WorkerPool, PropagatesFirstTaskExceptionAndStaysUsable) {
 
 /// One RUBiS CpuHog incident ingested into two slaves of two VMs each:
 /// slave_front hosts {web=0, app1=1}, slave_back hosts {app2=2, db=3}; the
-/// fault is on the db VM. Built once — localization is a read-only fan-out,
-/// so every test can share the ingested state.
+/// fault is on the db VM (the golden SingleFault scenario). Built once —
+/// localization is a read-only fan-out, so every test can share the
+/// ingested state.
 struct Cluster {
   FChainSlave front{0};  // components 0, 1
   FChainSlave back{1};   // components 2, 3
   TimeSec tv = 0;
   netdep::DependencyGraph deps;
+  /// Every sample ingested, tick by tick, components 0-3 within a tick.
+  std::vector<std::array<double, kMetricCount>> samples;
 };
+
+/// Two slaves that have ingested the incident and analyzed nothing.
+void ingestIncident(const Cluster& c, FChainSlave& front, FChainSlave& back) {
+  front.addComponent(0, 0);
+  front.addComponent(1, 0);
+  back.addComponent(2, 0);
+  back.addComponent(3, 0);
+  for (std::size_t i = 0; i < c.samples.size(); ++i) {
+    const auto id = static_cast<ComponentId>(i % 4);
+    (id < 2 ? front : back).ingest(id, c.samples[i]);
+  }
+}
 
 Cluster& cluster() {
   static Cluster& instance = *[] {
@@ -100,11 +115,6 @@ Cluster& cluster() {
     fault.intensity = 1.35;
     config.faults = {fault};
 
-    c->front.addComponent(0, 0);
-    c->front.addComponent(1, 0);
-    c->back.addComponent(2, 0);
-    c->back.addComponent(3, 0);
-
     sim::Simulation sim(config);
     while (!sim.violationTime().has_value() && sim.now() < 3600) {
       sim.step();
@@ -114,9 +124,10 @@ Cluster& cluster() {
         for (MetricKind kind : kAllMetrics) {
           sample[metricIndex(kind)] = sim.app().metricsOf(id).of(kind).at(t);
         }
-        (id < 2 ? c->front : c->back).ingest(id, sample);
+        c->samples.push_back(sample);
       }
     }
+    ingestIncident(*c, c->front, c->back);
     EXPECT_TRUE(sim.violationTime().has_value());
     c->tv = *sim.violationTime();
     c->deps = netdep::discoverDependencies(sim.record());
@@ -194,6 +205,53 @@ TEST(ParallelLocalize, EndpointOutageIsIdenticalAcrossThreadCounts) {
   for (int threads : {1, 2, 8}) {
     const PinpointResult pool = localizeWithOutage(threads);
     EXPECT_TRUE(samePinpoint(inline_result, pool)) << threads << " threads";
+  }
+}
+
+// --- Verdicts do not depend on call history --------------------------------
+
+/// The verdicts at `times`, localized in that order on one new master over
+/// one new pair of slaves.
+std::vector<PinpointResult> localizeInOrder(const std::vector<TimeSec>& times,
+                                            int threads) {
+  const Cluster& c = cluster();
+  FChainSlave front(0);
+  FChainSlave back(1);
+  ingestIncident(c, front, back);
+  FChainMaster master;
+  master.setWorkerThreads(threads);
+  master.registerSlave(&front);
+  master.registerSlave(&back);
+  master.setDependencies(c.deps);
+  std::vector<PinpointResult> results;
+  for (TimeSec tv : times) results.push_back(master.localize({0, 1, 2, 3}, tv));
+  return results;
+}
+
+// Whatever an analysis leaves behind — thread scratch arenas, the
+// permutation pool, any cache a slave or master keeps — must not reach a
+// later verdict. The same 16 localizations, ascending, then descending,
+// then each on a freshly built master and slaves, must agree at every
+// time, inline and on a pool.
+TEST(ParallelLocalize, VerdictsDoNotDependOnCallHistory) {
+  const TimeSec last = cluster().tv;
+  std::vector<TimeSec> ascending;
+  for (TimeSec tv = last - 15; tv <= last; ++tv) ascending.push_back(tv);
+  const std::vector<TimeSec> descending(ascending.rbegin(), ascending.rend());
+
+  for (int threads : {0, 2}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    const std::vector<PinpointResult> up = localizeInOrder(ascending, threads);
+    const std::vector<PinpointResult> down =
+        localizeInOrder(descending, threads);
+    for (std::size_t i = 0; i < ascending.size(); ++i) {
+      const PinpointResult fresh = localizeInOrder({ascending[i]}, threads)[0];
+      EXPECT_TRUE(samePinpoint(fresh, up[i]))
+          << "ascending, tv " << ascending[i];
+      EXPECT_TRUE(samePinpoint(fresh, down[ascending.size() - 1 - i]))
+          << "descending, tv " << ascending[i];
+    }
+    EXPECT_EQ(up.back().pinpointed, (std::vector<ComponentId>{3}));
   }
 }
 

@@ -99,6 +99,44 @@ TEST(Codec, Crc32SeedChainsAtEveryTwoChunkSplit) {
   }
 }
 
+TEST(Codec, Crc32MatchesBytewiseAcrossTheLaneSplit) {
+  // From 8 bytes below the first laned length to 40 above it, every count
+  // of tail bytes behind the three lanes; 65 537 and 1 000 003 bytes give
+  // lanes far longer than their tail. Every start offset 0-7 covers every
+  // alignment of each lane.
+  const std::vector<std::uint8_t> buffer = randomBytes(1'000'003 + 7, 31);
+  std::vector<std::size_t> lengths;
+  for (std::size_t length = kCrc32LanedSize - 8;
+       length <= kCrc32LanedSize + 40; ++length) {
+    lengths.push_back(length);
+  }
+  lengths.push_back(65'537);
+  lengths.push_back(1'000'003);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length : lengths) {
+      const std::span<const std::uint8_t> bytes(buffer.data() + offset,
+                                                length);
+      ASSERT_EQ(crc32(bytes), bytewiseCrc32(bytes))
+          << "offset " << offset << ", length " << length;
+    }
+  }
+
+  // A seed chains through the lanes: each split puts the head and the tail
+  // below, at or above the laned length, so a laned chunk starts from a
+  // seeded register as well as from the initial one.
+  const std::span<const std::uint8_t> whole(buffer.data(), 100 * 1024);
+  const std::uint32_t expected = bytewiseCrc32(whole);
+  const std::size_t n = whole.size();
+  const std::size_t laned = kCrc32LanedSize;
+  for (std::size_t split : {std::size_t{1}, laned - 1, laned, laned + 5,
+                            n / 2, n - laned - 5, n - laned, n - laned + 1,
+                            n - 1}) {
+    const std::uint32_t head = crc32(whole.first(split));
+    EXPECT_EQ(crc32(whole.subspan(split), head), expected)
+        << "split at byte " << split;
+  }
+}
+
 TEST(Codec, Crc32MatchesBytewiseOnA16MiBBuffer) {
   const std::vector<std::uint8_t> buffer = randomBytes(std::size_t{16} << 20,
                                                        29);
@@ -418,6 +456,39 @@ TEST(Snapshot, SaveLoadFileRoundTrip) {
   const SlaveSnapshot loaded = loadSlaveSnapshot(path);
   EXPECT_EQ(loaded.host, 7);
   EXPECT_EQ(loaded.epoch, 3u);
+  std::remove(path.c_str());
+}
+
+TEST(Snapshot, ReadEpochChecksTheHeaderNotThePayload) {
+  const std::string path = tempPath("persist_epoch.snap");
+  const std::vector<std::uint8_t> bytes = encodeSlaveSnapshot(sampleSnapshot());
+  writeFileAtomic(path, bytes);
+  EXPECT_EQ(readSnapshotEpoch(path), 3u);
+
+  // A bit flip past the epoch field: the epoch still reads, the full load
+  // still refuses.
+  std::vector<std::uint8_t> flipped = bytes;
+  flipped.back() ^= 0x10;
+  writeFileAtomic(path, flipped);
+  EXPECT_EQ(readSnapshotEpoch(path), 3u);
+  EXPECT_THROW(loadSlaveSnapshot(path), CorruptDataError);
+
+  // Each header check throws: a file cut inside the header, one cut inside
+  // the epoch field, a bad magic, a future version, and a file whose size
+  // disagrees with the length field.
+  std::vector<std::vector<std::uint8_t>> damaged;
+  damaged.emplace_back(bytes.begin(), bytes.begin() + 12);
+  damaged.emplace_back(bytes.begin(), bytes.begin() + kFrameHeaderSize + 6);
+  damaged.push_back(bytes);
+  damaged.back()[0] ^= 0x01;
+  damaged.push_back(bytes);
+  damaged.back()[4] = static_cast<std::uint8_t>(kSnapshotVersion + 1);
+  damaged.push_back(bytes);
+  damaged.back().push_back(0);
+  for (std::size_t i = 0; i < damaged.size(); ++i) {
+    writeFileAtomic(path, damaged[i]);
+    EXPECT_THROW(readSnapshotEpoch(path), CorruptDataError) << "damage " << i;
+  }
   std::remove(path.c_str());
 }
 

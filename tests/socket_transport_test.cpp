@@ -8,8 +8,9 @@
 //   - round-trips (handshake, analyze, ingest, discovery) over unix + tcp;
 //   - a raw fake server delivering torn frames, corrupt frames, and
 //     future-version frames;
-//   - a silent slave that handshakes and never replies: the request
-//     deadline bounds the localization and health sheds the slave;
+//   - a silent slave that handshakes and never replies, and a mute one
+//     that never answers the handshake: the request deadline bounds the
+//     localization and health sheds the slave;
 //   - reconnect-with-identity-pinning and the split-brain guard over the
 //     wire (two live services claiming one slave id);
 //   - the runtime.socket.* metrics the identity suite asserts on;
@@ -333,6 +334,36 @@ class SilentServer {
   std::thread thread_;
 };
 
+/// Accepts every connection and never reads from it: a stopped slave
+/// process, whose connects the kernel still completes. The client's Hello
+/// lands in the socket buffer and no HelloReply ever comes. Connections stay
+/// open until the server is destroyed.
+class MuteServer {
+ public:
+  MuteServer()
+      : listener_(Listener::listenOn(SocketAddress::unixPath(
+            unixSpec("mute_" + std::to_string(next_++))))) {
+    thread_ = std::thread([this] {
+      std::vector<Socket> held;
+      while (!stop_.load()) {
+        Socket conn = listener_.accept(10.0);
+        if (conn.valid()) held.push_back(std::move(conn));
+      }
+    });
+  }
+  ~MuteServer() {
+    stop_.store(true);
+    thread_.join();
+  }
+  const SocketAddress& address() const { return listener_.address(); }
+
+ private:
+  static inline int next_ = 0;
+  Listener listener_;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
 TEST(SocketTransport, TornReplyFrameIsDropped) {
   // A valid IngestReply cut in half: the peer died mid-send.
   const std::vector<std::uint8_t> full =
@@ -460,6 +491,49 @@ TEST(SocketTransport, SilentSlaveIsBoundedByTheRequestDeadline) {
   const std::uint64_t before = requests();
   const core::PinpointResult again = master.localize({0, 1, 2, 3}, 110);
   EXPECT_EQ(again.unanalyzed, (std::vector<ComponentId>{2, 3}));
+  EXPECT_EQ(requests() - before, 2u);
+}
+
+// A slave that accepts connections but never answers the handshake. Each
+// reconnect's handshake gives up at the request deadline, not at the
+// endpoint's io_timeout_ms: at the default SocketEndpointConfig (5 s of I/O,
+// 3 reconnect attempts) that bound alone made the first localization wait
+// 45 s and each one after the slave is Down 15 s.
+TEST(SocketTransport, UnansweredHandshakeIsBoundedByTheRequestDeadline) {
+  core::FChainSlave slave = makeSlave(0, {0, 1});
+  MuteServer mute;
+  RetryPolicy retry;
+  retry.request_deadline_ms = 100.0;
+  core::FChainMaster master({}, retry);
+  master.registerSlave(&slave);
+  SocketEndpointConfig config;
+  config.address = mute.address();
+  master.registerEndpoint(std::make_shared<SocketEndpoint>(config), {2, 3});
+
+  const auto timedLocalize = [&master](core::PinpointResult& result) {
+    const auto start = std::chrono::steady_clock::now();
+    result = master.localize({0, 1, 2, 3}, 110);
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  core::PinpointResult result;
+  // Three master attempts of three 100 ms handshakes each, with room for
+  // sanitizers and a loaded machine.
+  EXPECT_LT(timedLocalize(result), 3000.0);
+  EXPECT_EQ(result.unanalyzed, (std::vector<ComponentId>{2, 3}));
+  EXPECT_DOUBLE_EQ(result.coverage, 0.5);
+  EXPECT_EQ(master.endpointHealth(),
+            (std::vector<HealthState>{HealthState::Healthy,
+                                      HealthState::Down}));
+
+  // Once the slave is Down, a localization spends one request on it.
+  const auto requests = [&master] {
+    return master.metrics().snapshot().counters.at("master.requests");
+  };
+  const std::uint64_t before = requests();
+  EXPECT_LT(timedLocalize(result), 3000.0);
+  EXPECT_EQ(result.unanalyzed, (std::vector<ComponentId>{2, 3}));
   EXPECT_EQ(requests() - before, 2u);
 }
 
