@@ -10,10 +10,11 @@
 //
 // With --drill the supervisor SIGKILLs one slave mid-ingest. The restart
 // loop revives it, checkpoint recovery rebuilds its models bit-identically
-// (journal-then-ingest), the master's SocketEndpoint reconnects through the
-// deterministic backoff, and the final localization must still match the
-// reference byte-for-byte — the full kill -9 -> restart -> recover -> heal
-// story in one process tree.
+// (journal-then-ingest), the supervisor's ingest loop re-sends the failed
+// batch until the SocketEndpoint reconnects (each call makes one connect),
+// and the final localization must still match the reference byte-for-byte
+// — the full kill -9 -> restart -> recover -> heal story in one process
+// tree.
 //
 //   fchain_launcher [--slaves N] [--drill] [--log <path>]
 //                   [--slave-bin <path>]
@@ -354,7 +355,6 @@ int main(int argc, char** argv) {
   for (const auto& proc : slaves) {
     runtime::SocketEndpointConfig config;
     config.address = runtime::SocketAddress::parse(proc.listen);
-    config.backoff_seed = proc.host;
     auto endpoint = std::make_shared<runtime::SocketEndpoint>(config);
     bool up = false;
     for (int attempt = 0; attempt < 100 && !up; ++attempt) {

@@ -16,10 +16,6 @@ namespace {
 using runtime::EndpointStatus;
 using runtime::HealthState;
 
-/// Salt stream for discovery-time backoff; keeps discovery retries on their
-/// own deterministic jitter sequence, distinct from analysis retries.
-constexpr std::uint64_t kDiscoverySalt = 0xd15c0ull;
-
 }  // namespace
 
 FChainMaster::FChainMaster(FChainConfig config, runtime::RetryPolicy retry)
@@ -29,8 +25,7 @@ FChainMaster::~FChainMaster() = default;
 
 void FChainMaster::addEndpoint(
     const void* identity, std::shared_ptr<runtime::SlaveEndpoint> endpoint,
-    const std::vector<ComponentId>& components,
-    runtime::EndpointHealth health) {
+    const std::vector<ComponentId>& components) {
   std::set<ComponentId> claimed;
   for (ComponentId id : components) {
     if (routes_.contains(id) || !claimed.insert(id).second) {
@@ -42,7 +37,9 @@ void FChainMaster::addEndpoint(
   registered_.insert(identity);
   for (ComponentId id : components) routes_.emplace(id, endpoints_.size());
   endpoints_.push_back(
-      {std::move(endpoint), health, std::make_unique<std::mutex>()});
+      {std::move(endpoint),
+       runtime::EndpointHealth(retry_.degraded_after, retry_.down_after),
+       std::make_unique<std::mutex>()});
 }
 
 void FChainMaster::registerSlave(FChainSlave* slave) {
@@ -53,53 +50,7 @@ void FChainMaster::registerSlave(FChainSlave* slave) {
     throw std::invalid_argument("slave registered twice");
   }
   addEndpoint(slave, std::make_shared<runtime::LocalEndpoint>(slave),
-              slave->components(),
-              runtime::EndpointHealth(retry_.degraded_after,
-                                      retry_.down_after));
-}
-
-void FChainMaster::registerEndpoint(
-    std::shared_ptr<runtime::SlaveEndpoint> endpoint) {
-  if (endpoint == nullptr) {
-    throw std::invalid_argument("cannot register a null endpoint");
-  }
-  if (registered_.contains(endpoint.get())) {
-    throw std::invalid_argument("endpoint registered twice");
-  }
-  // Discovery goes through the same retry/health/stats machinery as the
-  // analysis path: attempts are counted, retries are paced by the backoff
-  // schedule, and the failure history carries into the endpoint's initial
-  // health — a flaky slave no longer gets hammered invisibly.
-  runtime::EndpointHealth health(retry_.degraded_after, retry_.down_after);
-  MasterRuntimeStats local;
-  runtime::ComponentListReply reply;
-  const int attempts = std::max(1, retry_.max_attempts);
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    ++local.requests;
-    if (attempt > 0) {
-      ++local.retries;
-      local.simulated_backoff_ms += runtime::retryDelayMs(
-          retry_, attempt - 1,
-          mixSeed(kDiscoverySalt, static_cast<std::uint64_t>(endpoints_.size()),
-                  static_cast<std::uint64_t>(attempt)));
-    }
-    reply = endpoint->listComponents();
-    if (reply.status == EndpointStatus::Ok) {
-      health.recordSuccess();
-      break;
-    }
-    health.recordFailure();
-  }
-  if (reply.status != EndpointStatus::Ok) {
-    ++local.failures;
-    mergeStats(local);
-    throw std::runtime_error(
-        std::string("slave discovery failed after retries: ") +
-        std::string(runtime::endpointStatusName(reply.status)));
-  }
-  mergeStats(local);
-  const void* identity = endpoint.get();
-  addEndpoint(identity, std::move(endpoint), reply.components, health);
+              slave->components());
 }
 
 void FChainMaster::registerEndpoint(
@@ -112,9 +63,7 @@ void FChainMaster::registerEndpoint(
     throw std::invalid_argument("endpoint registered twice");
   }
   const void* identity = endpoint.get();
-  addEndpoint(identity, std::move(endpoint), components,
-              runtime::EndpointHealth(retry_.degraded_after,
-                                      retry_.down_after));
+  addEndpoint(identity, std::move(endpoint), components);
 }
 
 void FChainMaster::setWorkerThreads(int threads) {
@@ -149,7 +98,6 @@ void FChainMaster::mergeStats(const MasterRuntimeStats& delta) {
   metric_requests_.add(delta.requests);
   metric_retries_.add(delta.retries);
   metric_failures_.add(delta.failures);
-  metric_backoff_ms_.add(delta.simulated_backoff_ms);
 }
 
 PinpointResult FChainMaster::localize(
@@ -181,6 +129,8 @@ void FChainMaster::runBatchJob(BatchJob& job, TimeSec violation_time) {
   // stay strictly ordered even when other localize() calls run in parallel.
   // A slave that never answers is bounded by the transport: each request
   // carries retry_.request_deadline_ms, and a Down endpoint gets one attempt.
+  // This is the only retry loop between the master and a slave, and it
+  // retries at once: nothing sleeps between attempts.
   const std::lock_guard<std::mutex> endpoint_lock(*ep.lock);
   const int attempts = ep.health.state() == HealthState::Down
                            ? 1
@@ -191,16 +141,7 @@ void FChainMaster::runBatchJob(BatchJob& job, TimeSec violation_time) {
     request.violation_time = violation_time;
     request.deadline_ms = retry_.request_deadline_ms;
     ++job.stats.requests;
-    if (attempt > 0) {
-      ++job.stats.retries;
-      // The batch's backoff is salted by its first component so the jitter
-      // sequence stays deterministic in (violation_time, routing), never in
-      // scheduling.
-      job.stats.simulated_backoff_ms += runtime::retryDelayMs(
-          retry_, attempt - 1,
-          mixSeed(static_cast<std::uint64_t>(violation_time), job.ids.front(),
-                  static_cast<std::uint64_t>(attempt)));
-    }
+    if (attempt > 0) ++job.stats.retries;
     runtime::AnalyzeBatchReply reply = ep.endpoint->analyzeBatch(request);
     if (reply.status == EndpointStatus::Ok &&
         reply.findings.size() == job.ids.size()) {
@@ -259,8 +200,7 @@ PinpointResult FChainMaster::localizeBatches(
   FCHAIN_SPAN("master.merge");
   // Deterministic merge: walk the caller's component order and pull each
   // result from its job slot, so findings keep the caller's order at any
-  // thread count. Stats merge job-by-job in first-appearance order so even
-  // the floating-point backoff sum is schedule-independent.
+  // thread count.
   std::map<ComponentId, const std::optional<ComponentFinding>*> slot_of;
   for (const BatchJob& job : jobs) {
     if (!job.answered) continue;

@@ -8,12 +8,20 @@
 //
 // Slaves are reached through the runtime::SlaveEndpoint seam, so the master
 // survives an unreliable monitoring plane: every analysis request carries a
-// deadline and is retried with exponential backoff + deterministic jitter
-// (runtime::RetryPolicy), each endpoint's health is tracked across requests
-// (healthy -> degraded -> down; down endpoints get a single probe instead of
-// the full retry budget), and localization proceeds from whatever findings
-// arrive — PinpointResult::coverage reports how much of the application was
-// actually analyzed instead of silently pretending full coverage.
+// deadline, a failed one is retried at once up to
+// runtime::RetryPolicy::max_attempts times, each endpoint's health is
+// tracked across requests (healthy -> degraded -> down; down endpoints get
+// a single attempt instead of the full retry budget), and localization
+// proceeds from whatever findings arrive — PinpointResult::coverage reports
+// how much of the application was actually analyzed instead of silently
+// pretending full coverage. runBatchJob() is the only code that retries a
+// request to a slave: a runtime::SocketEndpoint call makes at most one
+// connect and one handshake, and nothing sleeps between attempts.
+//
+// Every slave is registered with the components it monitors:
+// registerSlave() reads them from an in-process slave, registerEndpoint()
+// takes them from the caller (a deployment manifest, or the handshake's
+// claims through connectSlave()). The master sends no discovery request.
 //
 // Localization groups the components by their slave and gives each slave
 // ONE batched request covering all its components
@@ -21,10 +29,9 @@
 // fixed-size runtime::WorkerPool when worker threads >= 1, or one after
 // another on the calling thread when it is 0; either way it is the same
 // job. A per-endpoint mutex serializes requests to any one endpoint
-// (FlakyEndpoint's request counter and health accounting stay exact),
-// results merge deterministically in caller component order, and backoff
-// is seeded from (violation_time, routing) — so the PinpointResult is
-// bit-identical at every thread count.
+// (FlakyEndpoint's request counter and health accounting stay exact), and
+// results merge deterministically in caller component order — so the
+// PinpointResult is bit-identical at every thread count.
 #pragma once
 
 #include <map>
@@ -47,16 +54,14 @@ class WorkerPool;
 
 namespace fchain::core {
 
-/// Transport bookkeeping of one unit of work (a slave batch job, or one
-/// discovery): a request is one transport round-trip, one per attempt.
-/// The unit fills it privately and mergeStats() adds it to the master's
-/// obs::MetricRegistry once the unit is done; callers read the registry
-/// (see metrics()).
+/// Transport bookkeeping of one slave batch job: a request is one
+/// transport round-trip, one per attempt. The job fills it privately and
+/// mergeStats() adds it to the master's obs::MetricRegistry once the job is
+/// done; callers read the registry (see metrics()).
 struct MasterRuntimeStats {
   std::size_t requests = 0;   ///< analysis attempts issued (incl. retries)
   std::size_t retries = 0;    ///< attempts beyond the first per request
   std::size_t failures = 0;   ///< components whose retry budget ran out
-  double simulated_backoff_ms = 0.0;  ///< total backoff the schedule imposed
 };
 
 /// What the online monitor hands a latched incident to: a single
@@ -96,17 +101,10 @@ class FChainMaster final : public LocalizationTier {
   /// registered twice or a component is already claimed by another slave.
   void registerSlave(FChainSlave* slave);
 
-  /// Registers a slave behind an arbitrary transport. The component list is
-  /// discovered via listComponents(), retried per the retry policy — with
-  /// the same backoff schedule, health accounting, and stats counting as
-  /// the localization path, so discovery storms against a flaky slave are
-  /// visible, paced, and carried into the endpoint's initial health.
-  /// Throws std::runtime_error when discovery keeps failing and
-  /// std::invalid_argument on duplicate endpoints / component claims.
-  void registerEndpoint(std::shared_ptr<runtime::SlaveEndpoint> endpoint);
-
-  /// Same, with the component routing known up front (deployment manifest);
-  /// skips the discovery RPC entirely.
+  /// Registers a slave behind an arbitrary transport under the components
+  /// it monitors (a deployment manifest, or the handshake's claims through
+  /// connectSlave()). Throws std::invalid_argument on a null or repeated
+  /// endpoint or a component another slave already claims.
   void registerEndpoint(std::shared_ptr<runtime::SlaveEndpoint> endpoint,
                         const std::vector<ComponentId>& components) override;
 
@@ -139,7 +137,6 @@ class FChainMaster final : public LocalizationTier {
   ///   master.endpoint_state.healthy / .degraded / .down
   ///                          (counters: health-state *transitions* into
   ///                           each state, across all endpoints)
-  ///   master.backoff_ms      (gauge: accumulated simulated backoff)
   ///   master.pool_pending    (gauge: worker-pool queue depth after the
   ///                           fan-out drains — 0 unless something leaked)
   ///   master.localize_ms     (histogram: end-to-end localize wall-clock)
@@ -177,13 +174,12 @@ class FChainMaster final : public LocalizationTier {
   };
 
   /// Adds the endpoint under the given component routes (shared tail of
-  /// both register paths) and records `identity` as registered; `health`
-  /// carries any discovery-time history. Every claim is checked before
-  /// anything is recorded, so a refused registration leaves no trace.
+  /// both register paths) and records `identity` as registered. Every claim
+  /// is checked before anything is recorded, so a refused registration
+  /// leaves no trace.
   void addEndpoint(const void* identity,
                    std::shared_ptr<runtime::SlaveEndpoint> endpoint,
-                   const std::vector<ComponentId>& components,
-                   runtime::EndpointHealth health);
+                   const std::vector<ComponentId>& components);
 
   /// Groups `components` by slave and runs one batch job per slave.
   PinpointResult localizeBatches(const std::vector<ComponentId>& components,
@@ -214,7 +210,6 @@ class FChainMaster final : public LocalizationTier {
       registry_.counter("master.endpoint_state.degraded");
   obs::Counter& metric_state_down_ =
       registry_.counter("master.endpoint_state.down");
-  obs::Gauge& metric_backoff_ms_ = registry_.gauge("master.backoff_ms");
   obs::Gauge& metric_pool_pending_ = registry_.gauge("master.pool_pending");
   obs::Histogram& metric_localize_ms_ = registry_.histogram(
       "master.localize_ms",

@@ -20,8 +20,9 @@
 // A frame that fails CRC/decode gets an Error{BadRequest} reply (carrying
 // the byte-offset message) and the connection is closed — a stream that
 // delivered damage cannot be trusted to frame the next message. A torn
-// frame or peer death just closes the connection; the master's
-// SocketEndpoint retries through its reconnect path.
+// frame or peer death just closes the connection; the master's next
+// attempt reconnects (a SocketEndpoint call makes one connect and one
+// handshake).
 //
 // connectSlave() is the master-side registration glue: handshake, claim the
 // slave id in the SlaveRegistry (rejecting split-brain), then register the

@@ -31,16 +31,4 @@ core::PinpointResult FleetAggregator::merge(
   return result;
 }
 
-ShardPartial FleetAggregator::darkShard(ShardId shard,
-                                        std::vector<ComponentId> slice) {
-  ShardPartial partial;
-  partial.shard = shard;
-  partial.result.coverage = slice.empty() ? 1.0 : 0.0;
-  partial.result.unanalyzed = slice;
-  std::sort(partial.result.unanalyzed.begin(),
-            partial.result.unanalyzed.end());
-  partial.components = std::move(slice);
-  return partial;
-}
-
 }  // namespace fchain::fleet

@@ -38,10 +38,9 @@ namespace fchain::fleet {
 using ShardId = std::uint32_t;
 
 /// One shard's contribution to a fleet localization: the slice it owns (in
-/// fleet-caller order) and its master's PinpointResult over that slice. A
-/// shard that is down contributes an empty result with every slice
-/// component in `result.unanalyzed` — exactly what its master would report
-/// if all its slaves were dark.
+/// fleet-caller order) and its master's PinpointResult over that slice.
+/// Slice components whose slave did not answer are in `result.unanalyzed`,
+/// as the shard master reports them.
 struct ShardPartial {
   ShardId shard = 0;
   std::vector<ComponentId> components;
@@ -61,10 +60,6 @@ class FleetAggregator {
   core::PinpointResult merge(const std::vector<ShardPartial>& partials,
                              std::size_t total_components,
                              const netdep::DependencyGraph* dependencies) const;
-
-  /// A down shard's partial: nothing analyzed, the whole slice unanalyzed.
-  static ShardPartial darkShard(ShardId shard,
-                                std::vector<ComponentId> slice);
 
  private:
   core::IntegratedPinpointer pinpointer_;

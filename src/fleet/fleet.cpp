@@ -14,11 +14,15 @@ FleetMaster::FleetMaster(FleetConfig config)
     : config_(config), aggregator_(config.fchain) {
   shards_.resize(std::max<std::size_t>(1, config.shards));
   for (ShardId s = 0; s < shards_.size(); ++s) {
+    Shard& shard = shards_[s];
+    shard.master =
+        std::make_unique<core::FChainMaster>(config_.fchain, config_.retry);
+    shard.master->setWorkerThreads(config_.shard_worker_threads);
     if (!config_.journal_dir.empty()) {
-      shards_[s].journal =
+      shard.journal =
           std::make_unique<persist::IncidentJournal>(shardJournalPath(s));
+      shard.master->setIncidentJournal(shard.journal.get());
     }
-    shards_[s].master = buildMaster(s);
   }
 }
 
@@ -31,41 +35,16 @@ FleetMaster::Shard& FleetMaster::checkedShard(ShardId shard) {
   return shards_[shard];
 }
 
-const FleetMaster::Shard& FleetMaster::checkedShard(ShardId shard) const {
-  if (shard >= shards_.size()) {
-    throw std::out_of_range("FleetMaster: unknown shard");
-  }
-  return shards_[shard];
-}
-
-std::unique_ptr<core::FChainMaster> FleetMaster::buildMaster(ShardId shard) {
-  auto master =
-      std::make_unique<core::FChainMaster>(config_.fchain, config_.retry);
-  master->setWorkerThreads(config_.shard_worker_threads);
-  master->setDependencies(dependencies_);
-  if (shards_[shard].journal) {
-    master->setIncidentJournal(shards_[shard].journal.get());
-  }
-  for (std::size_t k = shard; k < registrations_.size();
-       k += shards_.size()) {
-    master->registerEndpoint(registrations_[k].endpoint,
-                             registrations_[k].components);
-  }
-  return master;
-}
-
 void FleetMaster::registerEndpoint(
     std::shared_ptr<runtime::SlaveEndpoint> endpoint,
     const std::vector<ComponentId>& components) {
   // Check everything before recording anything, so a refused registration
-  // leaves no trace in the routing a recovered shard is rebuilt from.
+  // leaves no trace in the routing and takes no shard slot.
   if (endpoint == nullptr) {
     throw std::invalid_argument("cannot register a null endpoint");
   }
-  for (const Registration& reg : registrations_) {
-    if (reg.endpoint == endpoint) {
-      throw std::invalid_argument("endpoint registered twice");
-    }
+  if (endpoints_.contains(endpoint.get())) {
+    throw std::invalid_argument("endpoint registered twice");
   }
   std::unordered_set<ComponentId> claimed;
   for (const ComponentId id : components) {
@@ -76,14 +55,11 @@ void FleetMaster::registerEndpoint(
     }
   }
 
-  const auto shard = static_cast<ShardId>(registrations_.size() %
+  const auto shard = static_cast<ShardId>(endpoints_.size() %
                                           shards_.size());
   for (const ComponentId id : components) owner_.emplace(id, shard);
-  registrations_.push_back(Registration{std::move(endpoint), components});
-  if (shards_[shard].master) {
-    shards_[shard].master->registerEndpoint(registrations_.back().endpoint,
-                                            components);
-  }
+  endpoints_.insert(endpoint.get());
+  shards_[shard].master->registerEndpoint(std::move(endpoint), components);
 }
 
 void FleetMaster::addSlave(core::FChainSlave* slave) {
@@ -93,9 +69,7 @@ void FleetMaster::addSlave(core::FChainSlave* slave) {
 
 void FleetMaster::setDependencies(netdep::DependencyGraph graph) {
   dependencies_ = std::move(graph);
-  for (Shard& shard : shards_) {
-    if (shard.master) shard.master->setDependencies(dependencies_);
-  }
+  for (Shard& shard : shards_) shard.master->setDependencies(dependencies_);
 }
 
 core::PinpointResult FleetMaster::localize(
@@ -105,16 +79,9 @@ core::PinpointResult FleetMaster::localize(
 
   std::vector<ShardPartial> partials = partition(components);
   const auto runSlice = [&](ShardPartial& partial) {
-    Shard& shard = shards_[partial.shard];
-    if (!shard.master) {
-      metric_dark_slices_.add();
-      partial = FleetAggregator::darkShard(partial.shard,
-                                           std::move(partial.components));
-      return;
-    }
     metric_shard_fanouts_.add();
-    partial.result = shard.master->localize(partial.components,
-                                            violation_time);
+    partial.result = shards_[partial.shard].master->localize(
+        partial.components, violation_time);
   };
 
   if (config_.fleet_threads >= 1 && partials.size() > 1) {
@@ -149,35 +116,8 @@ std::vector<ShardPartial> FleetMaster::partition(
   return slices;
 }
 
-void FleetMaster::crashShard(ShardId shard) {
-  Shard& s = checkedShard(shard);
-  // Order matters: the master holds a raw journal pointer, so it must die
-  // first. The journal object closes its stream; the file stays — that IS
-  // the crash state recoverShard() reads back.
-  s.master.reset();
-  s.journal.reset();
-}
-
-std::vector<core::RerunIncident> FleetMaster::recoverShard(ShardId shard) {
-  Shard& s = checkedShard(shard);
-  if (s.master) return {};
-  if (!config_.journal_dir.empty()) {
-    s.journal = std::make_unique<persist::IncidentJournal>(
-        shardJournalPath(shard));
-  }
-  s.master = buildMaster(shard);
-  if (!s.journal) return {};
-  return core::rerunPendingIncidents(*s.master, *s.journal);
-}
-
-bool FleetMaster::shardAlive(ShardId shard) const {
-  return checkedShard(shard).master != nullptr;
-}
-
 core::FChainMaster& FleetMaster::shardMaster(ShardId shard) {
-  Shard& s = checkedShard(shard);
-  if (!s.master) throw std::logic_error("FleetMaster: shard is crashed");
-  return *s.master;
+  return *checkedShard(shard).master;
 }
 
 persist::IncidentJournal* FleetMaster::shardJournal(ShardId shard) {

@@ -26,22 +26,25 @@
 // shard owning a piece of the app and re-derives the application verdict
 // from the union of shard evidence.
 //
-// Failover reuses the single-master crash story unchanged: each shard has
-// its own persist::IncidentJournal, so a shard that dies mid-localization
-// leaves a pending entry in *its* journal only. While a shard is down the
-// fleet keeps answering in degraded mode (the dead shard's slice reports
-// unanalyzed, coverage drops — same contract as a dark slave). recoverShard()
-// rebuilds the shard master from the retained registrations and re-runs its
-// pending incidents via core::rerunPendingIncidents.
+// Recovery reuses the single-master crash story unchanged. The shards are
+// objects in one process, so they fail only when that process does. Each
+// shard has its own persist::IncidentJournal under FleetConfig::journal_dir,
+// so a process that dies mid-localization leaves a pending entry in the
+// journal of every shard whose slice was in flight. To recover, rebuild the
+// fleet over the same journal_dir with the same registrations in the same
+// order (registration k lands on shard k mod N again), then re-run each
+// shard's pending slices with
+// core::rerunPendingIncidents(fleet.shardMaster(k), *fleet.shardJournal(k)),
+// as for a single master.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "fchain/master.h"
-#include "fchain/recovery.h"
 #include "fleet/aggregator.h"
 #include "obs/metrics.h"
 #include "persist/journal.h"
@@ -105,25 +108,10 @@ class FleetMaster final : public core::LocalizationTier {
   // --- Localization ------------------------------------------------------
 
   /// Localizes the fault for the application made of `components`,
-  /// whichever shards own them. Down shards contribute their slice as
-  /// unanalyzed (degraded coverage) instead of failing the localization.
+  /// whichever shards own them. A slave that does not answer leaves its
+  /// components unanalyzed (degraded coverage), as under one master.
   core::PinpointResult localize(const std::vector<ComponentId>& components,
                                 TimeSec violation_time) override;
-
-  // --- Failover ----------------------------------------------------------
-
-  /// Kills the shard's master process state (its journal file survives on
-  /// disk, exactly as a real crash leaves it). Localizations keep running
-  /// in degraded mode.
-  void crashShard(ShardId shard);
-
-  /// Rebuilds a crashed shard from the retained registrations and re-runs
-  /// every localization its journal recorded as started but never
-  /// completed. Returns the re-run incidents (empty when none were
-  /// pending). No-op returning empty when the shard is already alive.
-  std::vector<core::RerunIncident> recoverShard(ShardId shard);
-
-  bool shardAlive(ShardId shard) const;
 
   // --- Introspection -----------------------------------------------------
 
@@ -137,46 +125,36 @@ class FleetMaster final : public core::LocalizationTier {
   std::vector<ShardPartial> partition(
       const std::vector<ComponentId>& components) const;
 
-  /// The shard's live master. Throws std::logic_error while it is crashed.
+  /// The shard's master.
   core::FChainMaster& shardMaster(ShardId shard);
 
-  /// The shard's journal (nullptr when journaling is disabled or the shard
-  /// is crashed); the on-disk path is valid either way.
+  /// The shard's journal (nullptr when journaling is disabled); the on-disk
+  /// path is valid either way.
   persist::IncidentJournal* shardJournal(ShardId shard);
   std::string shardJournalPath(ShardId shard) const;
 
   /// Fleet-tier instruments:
   ///   fleet.localizations   (counter: fleet-level localize() calls)
   ///   fleet.shard_fanouts   (counter: per-shard localizations issued)
-  ///   fleet.dark_slices     (counter: slices answered by a crashed shard)
   ///   fleet.components      (counter: components routed through localize)
   obs::MetricRegistry& metrics() override { return registry_; }
   const obs::MetricRegistry& metrics() const { return registry_; }
 
  private:
-  /// One endpoint registration, retained so a crashed shard's master can
-  /// be rebuilt with identical routing. Registration k belongs to shard
-  /// k mod N.
-  struct Registration {
-    std::shared_ptr<runtime::SlaveEndpoint> endpoint;
-    std::vector<ComponentId> components;
-  };
   struct Shard {
-    std::unique_ptr<core::FChainMaster> master;
+    /// Declared first so it outlives the master, which holds a raw pointer.
     std::unique_ptr<persist::IncidentJournal> journal;
+    std::unique_ptr<core::FChainMaster> master;
   };
 
   Shard& checkedShard(ShardId shard);
-  const Shard& checkedShard(ShardId shard) const;
-  /// Fresh master wired with config, dependencies, and the shard journal;
-  /// re-registers the shard's retained registrations.
-  std::unique_ptr<core::FChainMaster> buildMaster(ShardId shard);
 
   FleetConfig config_;
   FleetAggregator aggregator_;
   netdep::DependencyGraph dependencies_;
   std::vector<Shard> shards_;  ///< index == ShardId
-  std::vector<Registration> registrations_;  ///< registration order
+  /// Every registered endpoint; registration k went to shard k mod N.
+  std::unordered_set<const runtime::SlaveEndpoint*> endpoints_;
   std::unordered_map<ComponentId, ShardId> owner_;
   std::unique_ptr<runtime::WorkerPool> pool_;
 
@@ -185,7 +163,6 @@ class FleetMaster final : public core::LocalizationTier {
       registry_.counter("fleet.localizations");
   obs::Counter& metric_shard_fanouts_ =
       registry_.counter("fleet.shard_fanouts");
-  obs::Counter& metric_dark_slices_ = registry_.counter("fleet.dark_slices");
   obs::Counter& metric_components_ = registry_.counter("fleet.components");
 };
 

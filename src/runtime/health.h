@@ -7,15 +7,16 @@
 // restores the endpoint: FChain's analysis requests are idempotent reads,
 // so there is no reason to distrust a slave that just answered.
 //
-// Retries use capped exponential backoff with deterministic jitter
-// (seeded, no wall clock) so reproducibility survives the retry path.
+// A failed request is retried at once, with no backoff between attempts:
+// each attempt is bounded by request_deadline_ms, and a Down endpoint gets
+// one. The policy reads no clock and no random stream, so the retry path
+// stays reproducible.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-
-#include "common/rng.h"
 
 namespace fchain::runtime {
 
@@ -25,34 +26,15 @@ enum class HealthState : std::uint8_t {
   Down,      ///< presumed dead; probed with a single attempt per localize
 };
 
-/// Master-side request policy: attempts per analysis request plus the
-/// backoff schedule between them.
+/// Master-side request policy: attempts per analysis request, the deadline
+/// of each, and the failure counts that demote an endpoint.
 struct RetryPolicy {
   int max_attempts = 3;             ///< total tries per request (>= 1)
   double request_deadline_ms = 200.0;  ///< per-request deadline (0 = none)
-  double base_backoff_ms = 50.0;    ///< delay before the first retry
-  double backoff_multiplier = 2.0;  ///< growth per further retry
-  double max_backoff_ms = 1000.0;   ///< cap on any single delay
-  double jitter_fraction = 0.2;     ///< uniform +-fraction around the delay
   /// Consecutive failures before an endpoint is considered degraded / down.
   int degraded_after = 1;
   int down_after = 3;
 };
-
-/// Backoff delay before retry `attempt` (0-based: the delay after the first
-/// failure is attempt 0). Deterministic in (policy, attempt, salt).
-inline double retryDelayMs(const RetryPolicy& policy, int attempt,
-                           std::uint64_t salt) {
-  double delay = policy.base_backoff_ms;
-  for (int i = 0; i < attempt; ++i) delay *= policy.backoff_multiplier;
-  delay = std::min(delay, policy.max_backoff_ms);
-  if (policy.jitter_fraction > 0.0) {
-    Rng rng(mixSeed(0x6a177e12u, salt, static_cast<std::uint64_t>(attempt)));
-    delay *= rng.uniform(1.0 - policy.jitter_fraction,
-                         1.0 + policy.jitter_fraction);
-  }
-  return std::max(0.0, delay);
-}
 
 /// Consecutive-failure health tracker for one endpoint. Thread-safe: the
 /// parallel localization engine records outcomes from worker threads while

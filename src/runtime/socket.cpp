@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
@@ -90,11 +91,16 @@ SocketAddress SocketAddress::parse(const std::string& spec) {
       throw std::invalid_argument("expected tcp:host:port, got " + spec);
     }
     const std::string host = rest.substr(0, colon);
-    const int port = std::stoi(rest.substr(colon + 1));
-    if (port < 0 || port > 65535) {
-      throw std::invalid_argument("port out of range: " + spec);
+    // Digits only, over the whole remainder: from_chars into an unsigned
+    // 16-bit value takes no sign or blank and refuses anything above 65535.
+    const char* last = rest.data() + rest.size();
+    std::uint16_t port = 0;
+    const auto [end, error] =
+        std::from_chars(rest.data() + colon + 1, last, port);
+    if (error != std::errc() || end != last) {
+      throw std::invalid_argument("expected a port in 0-65535, got " + spec);
     }
-    return tcp(host, static_cast<std::uint16_t>(port));
+    return tcp(host, port);
   }
   throw std::invalid_argument("expected tcp:host:port or unix:path, got " +
                               spec);

@@ -38,8 +38,8 @@ struct SocketAddress {
 
   static SocketAddress tcp(std::string host, std::uint16_t port);
   static SocketAddress unixPath(std::string path);
-  /// Parses the "tcp:host:port" / "unix:path" spec; throws
-  /// std::invalid_argument on anything else.
+  /// Parses the "tcp:host:port" (port: decimal digits, 0-65535) /
+  /// "unix:path" spec; throws std::invalid_argument on anything else.
   static SocketAddress parse(const std::string& spec);
   std::string str() const;
 };

@@ -1,8 +1,5 @@
 #include "runtime/socket_endpoint.h"
 
-#include <algorithm>
-#include <chrono>
-#include <thread>
 #include <utility>
 
 #include "persist/codec.h"
@@ -53,76 +50,62 @@ void SocketEndpoint::disconnect() {
 bool SocketEndpoint::ensureConnectedLocked(double io_ms) {
   if (version_rejected_) return false;
   if (conn_.valid()) return true;
-  const int attempts = std::max(1, config_.reconnect.max_attempts);
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      const double delay = retryDelayMs(
-          config_.reconnect, attempt - 1,
-          mixSeed(0x50c4e7ull, config_.backoff_seed, request_counter_));
-      std::this_thread::sleep_for(std::chrono::microseconds(
-          static_cast<std::int64_t>(delay * 1e3)));
-    }
-    Socket sock =
-        Socket::connectTo(config_.address, config_.connect_timeout_ms);
-    if (!sock.valid()) continue;
+  Socket sock = Socket::connectTo(config_.address, config_.connect_timeout_ms);
+  if (!sock.valid()) return false;
 
-    // Versioned handshake: Hello out, HelloReply (or a rejection) back,
-    // each bounded by the request's I/O deadline.
-    if (!sock.sendAll(wire::encodeHello({}), io_ms)) continue;
-    metric_frames_tx_.add();
-    std::vector<std::uint8_t> frame;
-    const RecvStatus status = sock.recvFrame(frame, io_ms);
-    if (status == RecvStatus::BadVersion) {
-      version_rejected_ = true;
-      return false;
-    }
-    if (status != RecvStatus::Ok) {
-      if (status == RecvStatus::Torn) metric_torn_frames_.add();
-      if (status == RecvStatus::Corrupt) metric_crc_errors_.add();
-      continue;
-    }
-    metric_frames_rx_.add();
-    wire::Message message;
-    try {
-      message = wire::decodeMessage(frame);
-    } catch (const persist::CorruptDataError&) {
-      metric_crc_errors_.add();
-      continue;
-    }
-    if (const auto* error = std::get_if<wire::WireError>(&message)) {
-      if (error->code == wire::ErrorCode::VersionMismatch) {
-        version_rejected_ = true;
-        return false;
-      }
-      continue;
-    }
-    const auto* hello = std::get_if<wire::HelloReply>(&message);
-    if (hello == nullptr) continue;
-    if (hello->protocol_version != wire::kWireVersion) {
-      version_rejected_ = true;
-      return false;
-    }
-    if (identity_ != 0 && hello->identity_hash != identity_) {
-      // The address now leads to a different slave (host or claims
-      // changed): refuse to adopt it — the master's routing table was
-      // built for the slave we originally handshook.
-      return false;
-    }
-    host_ = hello->host;
-    identity_ = hello->identity_hash;
-    conn_ = std::move(sock);
-    metric_connects_.add();
-    if (ever_connected_) metric_reconnects_.add();
-    ever_connected_ = true;
-    return true;
+  // Versioned handshake: Hello out, HelloReply (or a rejection) back, each
+  // bounded by the request's I/O deadline.
+  if (!sock.sendAll(wire::encodeHello({}), io_ms)) return false;
+  metric_frames_tx_.add();
+  std::vector<std::uint8_t> frame;
+  const RecvStatus status = sock.recvFrame(frame, io_ms);
+  if (status == RecvStatus::BadVersion) {
+    version_rejected_ = true;
+    return false;
   }
-  return false;
+  if (status != RecvStatus::Ok) {
+    if (status == RecvStatus::Torn) metric_torn_frames_.add();
+    if (status == RecvStatus::Corrupt) metric_crc_errors_.add();
+    return false;
+  }
+  metric_frames_rx_.add();
+  wire::Message message;
+  try {
+    message = wire::decodeMessage(frame);
+  } catch (const persist::CorruptDataError&) {
+    metric_crc_errors_.add();
+    return false;
+  }
+  if (const auto* error = std::get_if<wire::WireError>(&message)) {
+    if (error->code == wire::ErrorCode::VersionMismatch) {
+      version_rejected_ = true;
+    }
+    return false;
+  }
+  const auto* hello = std::get_if<wire::HelloReply>(&message);
+  if (hello == nullptr) return false;
+  if (hello->protocol_version != wire::kWireVersion) {
+    version_rejected_ = true;
+    return false;
+  }
+  if (identity_ != 0 && hello->identity_hash != identity_) {
+    // The address now leads to a different slave (host or claims
+    // changed): refuse to adopt it — the master's routing table was
+    // built for the slave we originally handshook.
+    return false;
+  }
+  host_ = hello->host;
+  identity_ = hello->identity_hash;
+  conn_ = std::move(sock);
+  metric_connects_.add();
+  if (ever_connected_) metric_reconnects_.add();
+  ever_connected_ = true;
+  return true;
 }
 
 EndpointStatus SocketEndpoint::roundTripLocked(
     const std::vector<std::uint8_t>& frame, double deadline_ms,
     wire::Message& reply) {
-  ++request_counter_;
   const double io = deadline_ms > 0.0 ? deadline_ms : config_.io_timeout_ms;
   if (!ensureConnectedLocked(io)) return EndpointStatus::Unavailable;
   if (!conn_.sendAll(frame, io)) {

@@ -4,24 +4,25 @@
 // performs the versioned handshake, and maps every transport event into the
 // EndpointStatus taxonomy the master already handles —
 //
-//   connect refused / retries exhausted          -> Unavailable
+//   connect refused or timed out, handshake
+//   failed or unanswered                         -> Unavailable
 //   version-mismatch / identity-mismatch reject  -> Unavailable
-//   deadline expired (connect, send, or recv)    -> Timeout
+//   deadline expired awaiting the reply          -> Timeout
 //   torn frame (peer died mid-reply), CRC damage,
 //   peer closed mid-RPC                          -> Dropped (retryable)
 //
 // so the master's retry and health paths drive real I/O errors without
-// modification. A request's send and receive are bounded by its
-// deadline_ms (io_timeout_ms when it carries none), and so is the send and
-// receive of each handshake the request's reconnect makes. A slave that
+// modification. A call without a live connection makes one connect and one
+// handshake; if either fails the call reports Unavailable, and the caller's
+// next attempt is the retry. FChainMaster::runBatchJob is the only retry
+// loop between the master and a slave. A request's send and receive are
+// bounded by its deadline_ms (io_timeout_ms when it carries none), and so
+// are the send and receive of the handshake the call makes. A slave that
 // never answers therefore costs the caller a bounded wait, never a hang:
 // Timeout when it is wedged after its handshake, Unavailable when it never
 // answers the handshake (a stopped process whose connects the kernel still
-// queues). Reconnects are bounded per call and paced by the
-// existing deterministic backoff (runtime/health.h, retryDelayMs — here the
-// delay is actually slept, since a real transport has real time). After any
-// non-Ok event the connection is closed: a byte stream that lost framing
-// cannot resync mid-flight.
+// queues). After any non-Ok event the connection is closed: a byte stream
+// that lost framing cannot resync mid-flight.
 //
 // The handshake pins slave identity: the first successful HelloReply fixes
 // the expected identity hash, and a later reconnect reaching a *different*
@@ -46,7 +47,6 @@
 
 #include "obs/metrics.h"
 #include "runtime/endpoint.h"
-#include "runtime/health.h"
 #include "runtime/socket.h"
 #include "runtime/wire.h"
 
@@ -58,17 +58,6 @@ struct SocketEndpointConfig {
   double connect_timeout_ms = 2000.0;
   /// Per-operation I/O deadline used when the request carries none.
   double io_timeout_ms = 5000.0;
-  /// Bounded reconnect: attempts per call, paced by the deterministic
-  /// backoff schedule (only max_attempts / base_backoff_ms / multiplier /
-  /// max_backoff_ms / jitter_fraction are read here).
-  RetryPolicy reconnect{.max_attempts = 3,
-                        .request_deadline_ms = 0.0,
-                        .base_backoff_ms = 10.0,
-                        .backoff_multiplier = 2.0,
-                        .max_backoff_ms = 200.0,
-                        .jitter_fraction = 0.2};
-  /// Salt for the backoff jitter stream (per-endpoint, reproducible).
-  std::uint64_t backoff_seed = 0;
   /// Metric registry; nullptr uses the process-global obs::metrics().
   obs::MetricRegistry* registry = nullptr;
 };
@@ -92,8 +81,9 @@ class SocketEndpoint final : public SlaveEndpoint {
   const SocketAddress& address() const { return config_.address; }
 
  private:
-  /// Connects + handshakes if needed, each handshake's send and receive
-  /// bounded by `io_ms`; false leaves status() = Unavailable.
+  /// Without a live connection, makes one connect and one handshake, the
+  /// handshake's send and receive bounded by `io_ms`; false means the call
+  /// reports Unavailable.
   bool ensureConnectedLocked(double io_ms);
   /// One frame out, one frame in. On success `reply` holds the decoded
   /// message; on failure the connection is closed and the status says why.
@@ -105,11 +95,10 @@ class SocketEndpoint final : public SlaveEndpoint {
   Socket conn_;
   bool ever_connected_ = false;
   /// Set on a version-mismatch rejection: the peer will never speak our
-  /// protocol, so further calls fail fast instead of reconnect-storming.
+  /// protocol, so further calls fail fast instead of reconnecting.
   bool version_rejected_ = false;
   HostId host_ = 0;
   std::uint64_t identity_ = 0;
-  std::uint64_t request_counter_ = 0;
 
   obs::Counter& metric_connects_;
   obs::Counter& metric_reconnects_;

@@ -6,7 +6,6 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
-#include <set>
 #include <thread>
 
 #include "fchain/fchain.h"
@@ -234,50 +233,6 @@ TEST(MasterRegistration, RejectsNullSlave) {
   EXPECT_THROW(master.registerSlave(nullptr), std::invalid_argument);
 }
 
-// --- Discovery retry path (registerEndpoint) -------------------------------
-
-TEST(MasterDiscovery, RetriesAreCountedBackedOffAndHealthTracked) {
-  // Regression: discovery used to spin its retry loop with no backoff, no
-  // health accounting, and no stats counting — a discovery storm against a
-  // cold-starting slave was invisible in every diagnostic surface.
-  FChainSlave slave(0);
-  slave.addComponent(0, 0);
-  runtime::FlakyConfig cold;
-  cold.fail_first = 2;  // two cold-start failures, then discovery lands
-  auto endpoint = std::make_shared<runtime::FlakyEndpoint>(
-      std::make_shared<runtime::LocalEndpoint>(&slave), cold);
-
-  FChainMaster master;
-  master.registerEndpoint(endpoint);
-
-  const auto snap = master.metrics().snapshot();
-  EXPECT_EQ(snap.counters.at("master.requests"), 3u);  // 2 failures + success
-  EXPECT_EQ(snap.counters.at("master.retries"), 2u);
-  EXPECT_EQ(snap.counters.at("master.failures"), 0u);
-  EXPECT_GT(snap.gauges.at("master.backoff_ms"), 0.0);  // retries are paced
-  // The discovery failures carry into the endpoint's health history.
-  ASSERT_EQ(master.endpointHealth().size(), 1u);
-  EXPECT_EQ(master.endpointHealth().front(), runtime::HealthState::Healthy);
-}
-
-TEST(MasterDiscovery, ExhaustedDiscoveryCountsAsFailure) {
-  FChainSlave slave(0);
-  slave.addComponent(0, 0);
-  runtime::FlakyConfig black;
-  black.drop_probability = 1.0;
-  auto endpoint = std::make_shared<runtime::FlakyEndpoint>(
-      std::make_shared<runtime::LocalEndpoint>(&slave), black);
-
-  FChainMaster master;
-  EXPECT_THROW(master.registerEndpoint(endpoint), std::runtime_error);
-  const auto snap = master.metrics().snapshot();
-  EXPECT_EQ(snap.counters.at("master.requests"), 3u);  // full retry budget
-  EXPECT_EQ(snap.counters.at("master.retries"), 2u);
-  EXPECT_EQ(snap.counters.at("master.failures"), 1u);
-  EXPECT_GT(snap.gauges.at("master.backoff_ms"), 0.0);
-  EXPECT_TRUE(master.endpointHealth().empty());  // never registered
-}
-
 // --- Endpoint health and retry behaviour ----------------------------------
 
 TEST(EndpointHealth, TransitionsHealthyDegradedDownAndRecovers) {
@@ -292,30 +247,6 @@ TEST(EndpointHealth, TransitionsHealthyDegradedDownAndRecovers) {
   EXPECT_EQ(health.state(), runtime::HealthState::Healthy);
 }
 
-TEST(RetryPolicy, BackoffGrowsAndIsCapped) {
-  runtime::RetryPolicy policy;
-  policy.base_backoff_ms = 100.0;
-  policy.backoff_multiplier = 2.0;
-  policy.max_backoff_ms = 300.0;
-  policy.jitter_fraction = 0.0;
-  EXPECT_DOUBLE_EQ(runtime::retryDelayMs(policy, 0, 1), 100.0);
-  EXPECT_DOUBLE_EQ(runtime::retryDelayMs(policy, 1, 1), 200.0);
-  EXPECT_DOUBLE_EQ(runtime::retryDelayMs(policy, 2, 1), 300.0);  // capped
-  EXPECT_DOUBLE_EQ(runtime::retryDelayMs(policy, 5, 1), 300.0);
-}
-
-TEST(RetryPolicy, JitterIsDeterministicAndBounded) {
-  runtime::RetryPolicy policy;
-  policy.base_backoff_ms = 100.0;
-  policy.jitter_fraction = 0.2;
-  const double a = runtime::retryDelayMs(policy, 0, 42);
-  const double b = runtime::retryDelayMs(policy, 0, 42);
-  EXPECT_DOUBLE_EQ(a, b);
-  EXPECT_GE(a, 80.0);
-  EXPECT_LE(a, 120.0);
-  EXPECT_NE(a, runtime::retryDelayMs(policy, 0, 43));
-}
-
 TEST(FlakyEndpoint, RetriesRecoverFromColdStart) {
   FChainSlave slave(0);
   slave.addComponent(0, 0);
@@ -326,7 +257,7 @@ TEST(FlakyEndpoint, RetriesRecoverFromColdStart) {
       std::make_shared<runtime::FlakyEndpoint>(std::move(local), flaky);
 
   FChainMaster master;
-  master.registerEndpoint(endpoint, {0});  // manifest-based, no discovery RPC
+  master.registerEndpoint(endpoint, {0});
   const auto result = master.localize({0}, 100);
   EXPECT_DOUBLE_EQ(result.coverage, 1.0);
   EXPECT_TRUE(result.unanalyzed.empty());
@@ -335,30 +266,20 @@ TEST(FlakyEndpoint, RetriesRecoverFromColdStart) {
 }
 
 TEST(FlakyEndpoint, DeadSlaveYieldsPartialCoverageNotFailure) {
-  FChainSlave alive(0), dead(1);
+  FChainSlave alive(0);
   alive.addComponent(0, 0);
-  dead.addComponent(1, 0);
-
-  runtime::FlakyConfig black;
-  black.drop_probability = 1.0;
-  auto dead_ep = std::make_shared<runtime::FlakyEndpoint>(
-      std::make_shared<runtime::LocalEndpoint>(&dead), black);
 
   FChainMaster master;
   master.registerSlave(&alive);
-  // Discovery must not depend on the flaky transport here: the drop rate is
-  // 1, so register via the in-process slave first, then swap in the flaky
-  // endpoint path by registering the endpoint for the *other* component.
-  EXPECT_THROW(master.registerEndpoint(dead_ep), std::runtime_error);
 
-  // An endpoint that answered discovery but dies afterwards:
+  // An endpoint that registered but dies afterwards:
   runtime::FlakyConfig late_death;
   late_death.outage_windows = {{50, 1'000'000}};
   FChainSlave dying(2);
   dying.addComponent(2, 0);
   auto dying_ep = std::make_shared<runtime::FlakyEndpoint>(
       std::make_shared<runtime::LocalEndpoint>(&dying), late_death);
-  master.registerEndpoint(dying_ep);
+  master.registerEndpoint(dying_ep, {2});
 
   const auto result = master.localize({0, 2}, 100);  // tv inside the outage
   EXPECT_DOUBLE_EQ(result.coverage, 0.5);
@@ -378,7 +299,7 @@ TEST(FlakyEndpoint, DownEndpointRecoversAfterOutage) {
   auto endpoint = std::make_shared<runtime::FlakyEndpoint>(
       std::make_shared<runtime::LocalEndpoint>(&slave), outage);
   FChainMaster master;
-  master.registerEndpoint(endpoint);
+  master.registerEndpoint(endpoint, {0});
 
   auto during = master.localize({0}, 150);
   EXPECT_DOUBLE_EQ(during.coverage, 0.0);
@@ -455,8 +376,10 @@ TEST(DegradedMode, LocalizesDespiteLossAndDeadSlave) {
     master.setWorkerThreads(threads);
     runtime::FlakyConfig dead;
     dead.outage_windows = {{0, 1'000'000}};
-    master.registerEndpoint(std::make_shared<runtime::FlakyEndpoint>(
-        std::make_shared<runtime::LocalEndpoint>(&slaves[0]), dead));
+    master.registerEndpoint(
+        std::make_shared<runtime::FlakyEndpoint>(
+            std::make_shared<runtime::LocalEndpoint>(&slaves[0]), dead),
+        {0});
     for (ComponentId id = 1; id < 4; ++id) master.registerSlave(&slaves[id]);
     return master.localize({0, 1, 2, 3}, tv);
   };
@@ -537,42 +460,6 @@ TEST(TelemetryInjector, SlaveOutageWindows) {
   EXPECT_TRUE(injector.slaveDown(1, 12));
   EXPECT_FALSE(injector.slaveDown(1, 15));
   EXPECT_FALSE(injector.slaveDown(0, 12));  // other hosts unaffected
-}
-
-TEST(RetryPolicy, JitterNeverEscapesTheCap) {
-  // The cap applies before jitter, so the worst case is max * (1 + frac);
-  // sweep attempts and salts to make sure no combination escapes it.
-  runtime::RetryPolicy policy;
-  policy.base_backoff_ms = 50.0;
-  policy.backoff_multiplier = 3.0;
-  policy.max_backoff_ms = 400.0;
-  policy.jitter_fraction = 0.25;
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    for (std::uint64_t salt = 0; salt < 64; ++salt) {
-      const double delay = runtime::retryDelayMs(policy, attempt, salt);
-      EXPECT_GE(delay, 0.0);
-      EXPECT_LE(delay, 400.0 * 1.25)
-          << "attempt " << attempt << " salt " << salt;
-    }
-  }
-}
-
-TEST(RetryPolicy, SaltsDecorrelateButEachSaltIsStable) {
-  // The schedule must be a pure function of (policy, attempt, salt) — and
-  // different salts must actually spread (otherwise a fleet of masters
-  // retries in lockstep).
-  runtime::RetryPolicy policy;
-  policy.base_backoff_ms = 100.0;
-  policy.jitter_fraction = 0.2;
-  std::set<double> distinct;
-  for (std::uint64_t salt = 0; salt < 32; ++salt) {
-    const double first = runtime::retryDelayMs(policy, 1, salt);
-    for (int repeat = 0; repeat < 3; ++repeat) {
-      EXPECT_DOUBLE_EQ(runtime::retryDelayMs(policy, 1, salt), first);
-    }
-    distinct.insert(first);
-  }
-  EXPECT_GT(distinct.size(), 16u);  // near-collision-free over 32 salts
 }
 
 // EndpointHealth is copied while worker threads record outcomes (endpoints

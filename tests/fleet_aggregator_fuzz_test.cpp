@@ -181,20 +181,5 @@ TEST(FleetAggregatorFuzz, RandomSplitsRemergeToTheUnpartitionedResult) {
   EXPECT_GT(multi_shard_cases, 600u);
 }
 
-TEST(FleetAggregatorFuzz, DarkShardAccountsItsWholeSlice) {
-  const FuzzIncident incident = makeIncident(7);
-  std::vector<ComponentId> all;
-  for (ComponentId id = 0; id < incident.total; ++id) all.push_back(id);
-
-  // Shard 0 dark with the whole incident on it: nothing analyzed.
-  const ShardPartial dark = FleetAggregator::darkShard(0, all);
-  const FleetAggregator aggregator(incident.config);
-  const core::PinpointResult merged = aggregator.merge(
-      {dark}, incident.total, incident.use_deps ? &incident.deps : nullptr);
-  EXPECT_DOUBLE_EQ(merged.coverage, 0.0);
-  EXPECT_EQ(merged.unanalyzed, all);
-  EXPECT_TRUE(merged.pinpointed.empty());
-}
-
 }  // namespace
 }  // namespace fchain::fleet

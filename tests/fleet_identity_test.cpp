@@ -2,9 +2,10 @@
 // localization result must be *byte-identical* to the single-master golden
 // for every N in {1, 2, 4, 8} on the campaign's canonical scenarios, with
 // the app on two slaves and with one slave per component (so up to
-// min(N, components) shards hold a slice) — including a shard crash
-// mid-localization followed by journal-driven recovery, and an
-// OnlineMonitor handed the fleet over a live stream.
+// min(N, components) shards hold a slice) — including a process that dies
+// mid-localization and a restarted fleet that re-runs the slice its shard
+// journal holds as pending, and an OnlineMonitor handed the fleet over a
+// live stream.
 //
 // Golden ownership: single_fault / concurrent_fault are produced by
 // test_golden_localization (the offline single-master reference) and are
@@ -25,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "fchain/fchain.h"
+#include "fchain/recovery.h"
 #include "fleet/fleet.h"
 #include "netdep/dependency.h"
 #include "online/monitor.h"
@@ -275,8 +277,12 @@ TEST(FleetIdentity, UnroutedComponentMatchesTheSingleMaster) {
   }
 }
 
-// --- Shard crash mid-localization + journal-driven recovery ---------------
+// --- Process restart + journal-driven re-run ------------------------------
 
+/// The shards are objects in one process and fail with it. A restart builds
+/// a new fleet over the same journal_dir with the same registrations in the
+/// same order, then re-runs each shard's pending slices as for a single
+/// master.
 TEST(FleetFailover, CrashMidLocalizationThenRerunMatchesGolden) {
   const Incident incident = makeIncident(rubisCpuHog());
   const std::string golden = readGolden("single_fault");
@@ -290,44 +296,38 @@ TEST(FleetFailover, CrashMidLocalizationThenRerunMatchesGolden) {
   FleetConfig config;
   config.shards = 4;
   config.journal_dir = dir;
+
+  // Fleet A journals the slice of the shard owning the faulty db VM
+  // (component 3) as started and dies before completing it — exactly the
+  // on-disk state a crash between fan-out and logDone leaves behind.
+  ShardId crashed = 0;
+  std::vector<ComponentId> slice;
+  {
+    FleetMaster fleet(config);
+    addSlaves(fleet, incident);
+    crashed = fleet.partition({3}).front().shard;
+    for (const ShardPartial& partial : fleet.partition(incident.components)) {
+      if (partial.shard == crashed) slice = partial.components;
+    }
+    ASSERT_FALSE(slice.empty());
+    ASSERT_NE(fleet.shardJournal(crashed), nullptr);
+    fleet.shardJournal(crashed)->logStart(slice, incident.tv);
+  }
+
+  // Fleet B, the restarted process, re-runs the interrupted slice from the
+  // journal.
   FleetMaster fleet(config);
   addSlaves(fleet, incident);
-
-  // Crash the shard owning the faulty db VM (component 3) with the incident
-  // journaled as started but not completed — exactly the on-disk state a
-  // real crash between fan-out and logDone leaves behind.
-  const ShardId crashed = fleet.partition({3}).front().shard;
-  std::vector<ComponentId> slice;
-  for (const ShardPartial& partial : fleet.partition(incident.components)) {
-    if (partial.shard == crashed) slice = partial.components;
-  }
-  ASSERT_FALSE(slice.empty());
   ASSERT_NE(fleet.shardJournal(crashed), nullptr);
-  fleet.shardJournal(crashed)->logStart(slice, incident.tv);
-  fleet.crashShard(crashed);
-  EXPECT_FALSE(fleet.shardAlive(crashed));
-
-  // Degraded mode while the shard is down: its whole slice is unanalyzed.
-  const core::PinpointResult degraded =
-      fleet.localize(incident.components, incident.tv);
-  EXPECT_EQ(degraded.unanalyzed, slice);
-  EXPECT_DOUBLE_EQ(
-      degraded.coverage,
-      static_cast<double>(incident.components.size() - slice.size()) /
-          static_cast<double>(incident.components.size()));
-
-  // Recovery re-runs the interrupted slice localization from the journal.
-  const std::vector<core::RerunIncident> reruns = fleet.recoverShard(crashed);
+  const std::vector<core::RerunIncident> reruns = core::rerunPendingIncidents(
+      fleet.shardMaster(crashed), *fleet.shardJournal(crashed));
   ASSERT_EQ(reruns.size(), 1u);
   EXPECT_EQ(reruns[0].components, slice);
   EXPECT_EQ(reruns[0].violation_time, incident.tv);
-  EXPECT_TRUE(
-      persist::IncidentJournal::pending(fleet.shardJournalPath(crashed))
-          .empty());
 
-  // The re-run partial hand-merged with the live shards' fresh partials
-  // reproduces the golden — the recovered shard's answer is byte-equivalent
-  // to one that never crashed.
+  // The re-run partial hand-merged with the other shards' partials
+  // reproduces the golden — the re-run answer is byte-equivalent to one
+  // that never crashed.
   std::vector<ShardPartial> partials = fleet.partition(incident.components);
   for (ShardPartial& partial : partials) {
     if (partial.shard == crashed) {
@@ -345,14 +345,19 @@ TEST(FleetFailover, CrashMidLocalizationThenRerunMatchesGolden) {
                 incident.tv),
             golden);
 
-  // And the fleet as a whole is healed: a full localization is golden again.
+  // And a full localization through the restarted fleet is golden too.
   EXPECT_EQ(core::renderPinpoint(
                 fleet.localize(incident.components, incident.tv),
                 incident.tv),
             golden);
 
-  // Recovering a live shard is a no-op.
-  EXPECT_TRUE(fleet.recoverShard(crashed).empty());
+  // Nothing stays pending in any shard's journal.
+  for (ShardId shard = 0; shard < fleet.shardCount(); ++shard) {
+    EXPECT_TRUE(
+        persist::IncidentJournal::pending(fleet.shardJournalPath(shard))
+            .empty())
+        << "shard " << shard;
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -210,7 +210,6 @@ std::shared_ptr<runtime::SocketEndpoint> endpointFor(
     const Daemon& daemon, obs::MetricRegistry* registry) {
   runtime::SocketEndpointConfig config;
   config.address = runtime::SocketAddress::parse(daemon.listen);
-  config.backoff_seed = daemon.host;
   config.registry = registry;
   return std::make_shared<runtime::SocketEndpoint>(config);
 }
@@ -356,12 +355,10 @@ TEST(MultiprocessIdentity, DegradedOneSlaveProcessDownMatchesGolden) {
 
   // The front endpoint points at a socket that was never bound: a manifest
   // registration (component claims known from deployment config, process
-  // dark). Tight retry budget so the degraded run stays fast.
+  // dark). A short connect timeout keeps the degraded run fast.
   runtime::SocketEndpointConfig front_config;
   front_config.address = runtime::SocketAddress::parse(
       std::string("unix:") + tree.dir + "/never_started.sock");
-  front_config.reconnect.max_attempts = 1;
-  front_config.reconnect.base_backoff_ms = 1.0;
   front_config.connect_timeout_ms = 100.0;
   auto front_endpoint =
       std::make_shared<runtime::SocketEndpoint>(front_config);

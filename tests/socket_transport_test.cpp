@@ -181,13 +181,9 @@ TEST(SocketTransport, StopWakesTheServeLoopAtOnce) {
   EXPECT_LT(stop_ms, 100.0);
 }
 
-TEST(SocketTransport, UnreachableServerIsUnavailableAfterBoundedRetries) {
-  SocketEndpointConfig config =
-      endpointConfig(SocketAddress::unixPath(unixSpec("nobody_home")));
-  config.reconnect.max_attempts = 2;
-  config.reconnect.base_backoff_ms = 1.0;
-  config.reconnect.max_backoff_ms = 2.0;
-  SocketEndpoint endpoint(config);
+TEST(SocketTransport, UnreachableServerIsUnavailableAfterOneConnect) {
+  SocketEndpoint endpoint(
+      endpointConfig(SocketAddress::unixPath(unixSpec("nobody_home"))));
   EXPECT_EQ(endpoint.listComponents().status, EndpointStatus::Unavailable);
   EXPECT_FALSE(endpoint.connected());
 }
@@ -205,7 +201,7 @@ TEST(SocketTransport, ReconnectsAfterServerRestartWithSameIdentity) {
     ASSERT_EQ(endpoint.listComponents().status, EndpointStatus::Ok);
     service.stop();
   }
-  // Server gone: the next call fails through the retry budget...
+  // Server gone: the next call fails...
   EXPECT_NE(endpoint.listComponents().status, EndpointStatus::Ok);
   // ...and a restarted slave with the same manifest re-registers
   // idempotently (same identity hash, pinned connection heals).
@@ -337,7 +333,7 @@ class SilentServer {
 /// Accepts every connection and never reads from it: a stopped slave
 /// process, whose connects the kernel still completes. The client's Hello
 /// lands in the socket buffer and no HelloReply ever comes. Connections stay
-/// open until the server is destroyed.
+/// open until the server is destroyed, and the server counts them.
 class MuteServer {
  public:
   MuteServer()
@@ -347,7 +343,9 @@ class MuteServer {
       std::vector<Socket> held;
       while (!stop_.load()) {
         Socket conn = listener_.accept(10.0);
-        if (conn.valid()) held.push_back(std::move(conn));
+        if (!conn.valid()) continue;
+        held.push_back(std::move(conn));
+        accepted_.fetch_add(1);
       }
     });
   }
@@ -357,10 +355,24 @@ class MuteServer {
   }
   const SocketAddress& address() const { return listener_.address(); }
 
+  /// The number of connections accepted so far, read once `expected` have
+  /// been accepted or after 2 s: the kernel completes a connect before this
+  /// server's thread accepts it.
+  std::size_t awaitAccepted(std::size_t expected) const {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (accepted_.load() < expected &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return accepted_.load();
+  }
+
  private:
   static inline int next_ = 0;
   Listener listener_;
   std::atomic<bool> stop_{false};
+  std::atomic<std::size_t> accepted_{0};
   std::thread thread_;
 };
 
@@ -370,9 +382,7 @@ TEST(SocketTransport, TornReplyFrameIsDropped) {
       wire::encodeIngestReply({EndpointStatus::Ok, 0.0});
   obs::MetricRegistry registry;
   FakeServer server({full.begin(), full.begin() + full.size() / 2});
-  SocketEndpointConfig config = endpointConfig(server.address(), &registry);
-  config.reconnect.max_attempts = 1;  // no second server to reconnect to
-  SocketEndpoint endpoint(config);
+  SocketEndpoint endpoint(endpointConfig(server.address(), &registry));
   IngestRequest request;
   request.component = 0;
   request.t = 0;
@@ -381,12 +391,10 @@ TEST(SocketTransport, TornReplyFrameIsDropped) {
   EXPECT_EQ(registry.counter("runtime.socket.torn_frames").value(), 1u);
 }
 
-TEST(SocketTransport, TornHandshakeIsRetriedThenUnavailable) {
+TEST(SocketTransport, TornHandshakeIsUnavailable) {
   obs::MetricRegistry registry;
   FakeServer server({}, /*close_mid_handshake=*/true);
-  SocketEndpointConfig config = endpointConfig(server.address(), &registry);
-  config.reconnect.max_attempts = 1;
-  SocketEndpoint endpoint(config);
+  SocketEndpoint endpoint(endpointConfig(server.address(), &registry));
   EXPECT_EQ(endpoint.listComponents().status, EndpointStatus::Unavailable);
   EXPECT_EQ(registry.counter("runtime.socket.torn_frames").value(), 1u);
 }
@@ -397,9 +405,7 @@ TEST(SocketTransport, CorruptReplyFrameIsDroppedAndCounted) {
   damaged[damaged.size() - 1] ^= 0x40;  // payload bit flip: CRC mismatch
   obs::MetricRegistry registry;
   FakeServer server(damaged);
-  SocketEndpointConfig config = endpointConfig(server.address(), &registry);
-  config.reconnect.max_attempts = 1;
-  SocketEndpoint endpoint(config);
+  SocketEndpoint endpoint(endpointConfig(server.address(), &registry));
   IngestRequest request;
   request.component = 0;
   request.t = 0;
@@ -442,9 +448,7 @@ TEST(SocketTransport, OversizedFrameHeaderIsRejectedBeforeAllocation) {
   e.u32(0);  // crc (never reached)
   obs::MetricRegistry registry;
   FakeServer server(e.buffer());
-  SocketEndpointConfig config = endpointConfig(server.address(), &registry);
-  config.reconnect.max_attempts = 1;
-  SocketEndpoint endpoint(config);
+  SocketEndpoint endpoint(endpointConfig(server.address(), &registry));
   IngestRequest request;
   request.component = 0;
   request.t = 0;
@@ -468,7 +472,6 @@ TEST(SocketTransport, SilentSlaveIsBoundedByTheRequestDeadline) {
   master.registerSlave(&slave);
   SocketEndpointConfig config = endpointConfig(silent.address());
   config.io_timeout_ms = 100.0;
-  config.reconnect.max_attempts = 1;
   master.registerEndpoint(std::make_shared<SocketEndpoint>(config), {2, 3});
 
   const auto start = std::chrono::steady_clock::now();
@@ -495,10 +498,11 @@ TEST(SocketTransport, SilentSlaveIsBoundedByTheRequestDeadline) {
 }
 
 // A slave that accepts connections but never answers the handshake. Each
-// reconnect's handshake gives up at the request deadline, not at the
-// endpoint's io_timeout_ms: at the default SocketEndpointConfig (5 s of I/O,
-// 3 reconnect attempts) that bound alone made the first localization wait
-// 45 s and each one after the slave is Down 15 s.
+// call makes one connect and one handshake, and the handshake gives up at
+// the request deadline, not at the endpoint's io_timeout_ms (5 s by
+// default). The master's attempts are the only retries, so the slave sees
+// one connection per master attempt: three for the first localization, one
+// once the slave is Down.
 TEST(SocketTransport, UnansweredHandshakeIsBoundedByTheRequestDeadline) {
   core::FChainSlave slave = makeSlave(0, {0, 1});
   MuteServer mute;
@@ -518,7 +522,7 @@ TEST(SocketTransport, UnansweredHandshakeIsBoundedByTheRequestDeadline) {
         .count();
   };
   core::PinpointResult result;
-  // Three master attempts of three 100 ms handshakes each, with room for
+  // Three master attempts of one 100 ms handshake each, with room for
   // sanitizers and a loaded machine.
   EXPECT_LT(timedLocalize(result), 3000.0);
   EXPECT_EQ(result.unanalyzed, (std::vector<ComponentId>{2, 3}));
@@ -526,6 +530,7 @@ TEST(SocketTransport, UnansweredHandshakeIsBoundedByTheRequestDeadline) {
   EXPECT_EQ(master.endpointHealth(),
             (std::vector<HealthState>{HealthState::Healthy,
                                       HealthState::Down}));
+  EXPECT_EQ(mute.awaitAccepted(3), 3u);
 
   // Once the slave is Down, a localization spends one request on it.
   const auto requests = [&master] {
@@ -535,6 +540,17 @@ TEST(SocketTransport, UnansweredHandshakeIsBoundedByTheRequestDeadline) {
   EXPECT_LT(timedLocalize(result), 3000.0);
   EXPECT_EQ(result.unanalyzed, (std::vector<ComponentId>{2, 3}));
   EXPECT_EQ(requests() - before, 2u);
+  EXPECT_EQ(mute.awaitAccepted(4), 4u);
+
+  // An ingest through a fresh endpoint, which nothing retries, also makes
+  // one connect.
+  SocketEndpoint fresh(config);
+  IngestRequest request;
+  request.component = 2;
+  request.t = 110;
+  request.deadline_ms = 100.0;
+  EXPECT_EQ(fresh.ingest(request).status, EndpointStatus::Unavailable);
+  EXPECT_EQ(mute.awaitAccepted(5), 5u);
 }
 
 // --- Server-side damage handling -------------------------------------------
@@ -1045,6 +1061,13 @@ TEST(SocketTransport, AddressSpecsParseAndRoundTrip) {
   EXPECT_THROW(SocketAddress::parse("smoke:signals"), std::invalid_argument);
   EXPECT_THROW(SocketAddress::parse("tcp:localhost:notaport"),
                std::invalid_argument);
+  // The whole port must be decimal digits in 0-65535: no suffix, blank or
+  // sign, and no value that overflows.
+  for (const char* spec :
+       {"tcp:localhost:80abc", "tcp:localhost: 80", "tcp:localhost:+80",
+        "tcp:localhost:99999999999"}) {
+    EXPECT_THROW(SocketAddress::parse(spec), std::invalid_argument) << spec;
+  }
 }
 
 }  // namespace
